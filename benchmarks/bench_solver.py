@@ -20,6 +20,10 @@ per node in the scaling regime. Optimality is asserted unchanged on
 every uncapped point, and the 2-worker portfolio is asserted
 bit-identical to the serial proof (its merge rule reconstructs the
 serial answer regardless of worker count or core count).
+
+The T-SMT/T-SMT* mapping searches run on the generic engine (their
+makespan objective is not assignment-shaped); their node counts and
+optimal makespans are pinned separately, in the ``tsmt`` section.
 """
 
 import json
@@ -28,28 +32,44 @@ import time
 
 from conftest import SMOKE, record
 
+from repro.compiler import CompilerOptions
 from repro.compiler.mapping.smt import (
     _greedy_warm_start,
     _identity_warm_start,
     reliability_model,
 )
+from repro.compiler.pipeline import mapper_for
 from repro.hardware import (
     CalibrationGenerator,
     ReliabilityTables,
+    default_ibmq16_calibration,
     square_topology,
 )
-from repro.programs import random_circuit
+from repro.programs import get_benchmark, random_circuit
 from repro.solver import BranchAndBoundSolver
 from repro.solver.portfolio import PortfolioSolver
 
 _BASELINE = os.path.join(os.path.dirname(__file__), "solver_baseline.json")
 
+#: The pinned T-SMT variants, by the labels the baseline uses.
+_TSMT_VARIANTS = {
+    "t-smt": CompilerOptions.t_smt(),
+    "t-smt*(rr)": CompilerOptions.t_smt_star(routing="rr"),
+    "t-smt*(1bp)": CompilerOptions.t_smt_star(routing="1bp"),
+}
 
-def _instance(n_qubits: int, n_gates: int):
+
+def _fig11_problem(n_qubits: int, n_gates: int):
+    """The fig11 harness's random program and grid calibration."""
     circuit = random_circuit(n_qubits, n_gates,
                              seed=2019 + n_qubits * 10000 + n_gates)
     topology = square_topology(max(n_qubits, 4))
     calibration = CalibrationGenerator(topology, seed=2019).snapshot(0)
+    return circuit, calibration
+
+
+def _instance(n_qubits: int, n_gates: int):
+    circuit, calibration = _fig11_problem(n_qubits, n_gates)
     tables = ReliabilityTables(calibration)
     model, search_qubits = reliability_model(circuit, calibration,
                                              tables, 0.5)
@@ -165,3 +185,42 @@ def test_portfolio_bit_identity(benchmark):
            f"{portfolio.stats.subtrees} subtrees) == serial: "
            f"objective {serial.objective:.6f}, "
            f"{portfolio.nodes} vs {serial.nodes} nodes")
+
+
+def _tsmt_problem(spec):
+    if "program" in spec:
+        return (get_benchmark(spec["program"]).build(),
+                default_ibmq16_calibration())
+    return _fig11_problem(spec["qubits"], spec["gates"])
+
+
+def _run_tsmt(points):
+    rows = []
+    for spec in points:
+        circuit, calibration = _tsmt_problem(spec)
+        mapper = mapper_for(_TSMT_VARIANTS[spec["variant"]])
+        start = time.perf_counter()
+        result = mapper.run(circuit, calibration,
+                            ReliabilityTables(calibration))
+        rows.append((spec, result, time.perf_counter() - start))
+    return rows
+
+
+def test_tsmt_pins(benchmark):
+    """T-SMT/T-SMT* searches expand exactly the pinned node counts."""
+    with open(_BASELINE) as fh:
+        baseline = json.load(fh)
+    tier = "smoke" if SMOKE else "full"
+    rows = benchmark.pedantic(_run_tsmt, args=(baseline["tsmt"][tier],),
+                              rounds=1, iterations=1)
+    lines = ["T-SMT mapping searches (nodes and makespan pinned)",
+             f"{'point':>26} {'nodes':>7} {'makespan':>10} {'time':>10}"]
+    for spec, result, seconds in rows:
+        assert result.optimal, spec
+        assert result.nodes == spec["nodes"], spec
+        assert -result.objective == spec["makespan"], spec
+        point = spec.get("program") or f"{spec['qubits']}x{spec['gates']}"
+        lines.append(f"{point + ' ' + spec['variant']:>26} "
+                     f"{result.nodes:>7} {-result.objective:>10.3f} "
+                     f"{seconds * 1e3:>8.1f}ms")
+    record(benchmark, "\n".join(lines))
