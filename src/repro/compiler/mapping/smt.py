@@ -16,10 +16,11 @@ the branch-and-bound engine (the Z3 substitute, see DESIGN.md):
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro.compiler.mapping.base import Mapper, MappingResult
 from repro.compiler.mapping.greedy import GreedyEdgeMapper
 from repro.compiler.options import CompilerOptions
 from repro.compiler.scheduling.list_scheduler import makespan_of
-from repro.exceptions import MappingError
+from repro.exceptions import MappingError, SchedulingError
 from repro.hardware.calibration import (
     READOUT_SLOTS,
     SINGLE_QUBIT_SLOTS,
@@ -39,7 +40,6 @@ from repro.ir.dag import DependencyDAG
 from repro.solver import (
     AllDifferent,
     BranchAndBoundSolver,
-    CallableObjective,
     Model,
     PairTerm,
     SumObjective,
@@ -47,6 +47,7 @@ from repro.solver import (
     Variable,
 )
 from repro.solver.bnb import SolveResult
+from repro.solver.model import Assignment, Objective
 from repro.solver.portfolio import PortfolioSolver
 
 _LOG_FLOOR = 1e-12
@@ -244,6 +245,170 @@ class ReliabilitySmtMapper(Mapper):
         return out
 
 
+class MakespanObjective(Objective):
+    """The T-SMT objective: minus the list-schedule makespan.
+
+    Complete placements are scored by the list scheduler itself
+    (Constraints 3-9); a placement that misses a coherence deadline
+    under ``options.enforce_coherence`` scores ``-inf`` (infeasible).
+    Partial placements are bounded by minus the dependency-DAG critical
+    path under admissible per-gate durations: CNOTs with both endpoints
+    placed take their true routed duration, one placed endpoint that
+    location's best-case routed time, none the global best-case
+    adjacent-CNOT time.
+
+    The bound tables are built once per circuit so that every candidate
+    value of a branching variable is bounded in one batch:
+
+    * the DAG grouped into unit-weight ASAP levels, with gates renumbered
+      level by level so each level is one contiguous block of rows, and
+      per level a padded predecessor-index matrix (stored one column per
+      predecessor slot) whose padding points at a finish row fixed at
+      0.0 — exact, since every finish time is >= 0;
+    * base per-gate weights (barrier 0, readout, single-qubit);
+    * the search-variable columns of each CNOT's two endpoints;
+    * one ``(H+1) x (H+1)`` CNOT duration table whose extra row and
+      column are the "unplaced" sentinel: they hold the one-placed
+      best case ``min_from[h]`` and, at the corner, the none-placed
+      best case. Its diagonal holds ``min_from[h]`` too, covering a
+      probe that collides with an already placed endpoint.
+
+    Every finish time comes from the same float max and add as a scalar
+    longest-path pass, so the batched bounds equal the scalar ones
+    exactly.
+    """
+
+    def __init__(self, circuit: Circuit, calibration: Calibration,
+                 tables: ReliabilityTables, options: CompilerOptions,
+                 search_qubits: List[int]) -> None:
+        self.circuit = circuit
+        self.calibration = calibration
+        self.tables = tables
+        self.options = options
+        self.dag = DependencyDAG.from_circuit(circuit)
+        self.search_qubits = list(search_qubits)
+        self.rest_qubits = [q for q in range(circuit.n_qubits)
+                            if q not in search_qubits]
+        self.all_hw = list(calibration.topology.iter_qubits())
+        self.column = {_var(q): c for c, q in enumerate(search_qubits)}
+        self.unplaced = calibration.topology.n_qubits
+        self.durations = self._duration_table(calibration, tables, options)
+
+        # Row of each gate: level-major, program order within a level;
+        # row n is the 0.0 padding row.
+        n = len(circuit.gates)
+        asap = self.dag.asap_levels()
+        order = sorted(range(n), key=lambda i: (asap[i], i))
+        row = {i: r for r, i in enumerate(order)}
+        self.base = np.zeros((n, 1))
+        cnots: List[int] = []
+        for i in order:
+            gate = circuit.gates[i]
+            if gate.name == "barrier":
+                continue
+            if gate.is_measure:
+                self.base[row[i]] = float(READOUT_SLOTS)
+            elif gate.is_two_qubit:
+                cnots.append(i)
+            else:
+                self.base[row[i]] = float(SINGLE_QUBIT_SLOTS)
+        self.cnot_rows = np.array([row[i] for i in cnots], dtype=np.intp)
+        ends = np.array([[self.column[_var(q)]
+                          for q in circuit.gates[i].qubits[:2]]
+                         for i in cnots], dtype=np.intp).reshape(-1, 2)
+        self.controls, self.targets = ends[:, 0], ends[:, 1]
+
+        # Per level: its row block and predecessor rows, one array per
+        # predecessor slot. Predecessors sit on earlier levels.
+        self.levels: List[Tuple[int, int, List[np.ndarray]]] = []
+        for _, group in itertools.groupby(order, key=asap.__getitem__):
+            gates = list(group)
+            lo = row[gates[0]]
+            width = max(1, max(len(self.dag.preds[i]) for i in gates))
+            preds = np.full((len(gates), width), n, dtype=np.intp)
+            for r, i in enumerate(gates):
+                ps = sorted(row[p] for p in self.dag.preds[i])
+                preds[r, :len(ps)] = ps
+            self.levels.append((lo, lo + len(gates), list(preds.T.copy())))
+
+    @staticmethod
+    def _duration_table(calibration: Calibration,
+                        tables: ReliabilityTables,
+                        options: CompilerOptions) -> np.ndarray:
+        """Optimistic CNOT durations, indexed [control, target] with
+        the last row/column standing for an unplaced endpoint."""
+        hw = list(calibration.topology.iter_qubits())
+        unplaced = calibration.topology.n_qubits
+        table = np.zeros((unplaced + 1, unplaced + 1))
+        if options.variant == "t-smt":
+            tau = options.uniform_cnot_slots
+            table[:] = tau
+            for hc in hw:
+                for ht in hw:
+                    if hc != ht:
+                        table[hc, ht] = tables.uniform_duration(
+                            hc, ht, tau_cnot=tau)
+            return table
+        for hc in hw:
+            for ht in hw:
+                if hc != ht:
+                    table[hc, ht] = tables.delta(hc, ht)
+        for h in hw:
+            # Best-case routed time with one endpoint at h.
+            min_from = min(table[h, h2] for h2 in hw if h2 != h)
+            table[h, h] = table[h, unplaced] = table[unplaced, h] = min_from
+        table[unplaced, unplaced] = min(
+            e.cnot_duration_slots for e in calibration.edges.values())
+        return table
+
+    def value(self, assignment: Assignment) -> float:
+        # Non-interacting qubits do not affect the makespan; fill them
+        # with any free locations (cheap, called per leaf).
+        placement = {q: assignment[_var(q)] for q in self.search_qubits}
+        used = set(placement.values())
+        free = (h for h in self.all_hw if h not in used)
+        for q in self.rest_qubits:
+            placement[q] = next(free)
+        return -makespan_of(self.circuit, placement, self.calibration,
+                            self.tables, self.options, dag=self.dag)
+
+    def bound(self, assignment: Assignment,
+              domains: Dict[str, set]) -> float:
+        return float(-self._critical_paths(self._placed(assignment)[None])[0])
+
+    def bound_values(self, assignment: Assignment, var: str,
+                     values: Sequence[int],
+                     domains: Dict[str, set]) -> List[float]:
+        placed = np.repeat(self._placed(assignment)[None], len(values),
+                           axis=0)
+        placed[:, self.column[var]] = values
+        return (-self._critical_paths(placed)).tolist()
+
+    def _placed(self, assignment: Assignment) -> np.ndarray:
+        """Per-variable hardware qubit, the sentinel where unplaced."""
+        placed = np.full(len(self.column), self.unplaced, dtype=np.intp)
+        for name, c in self.column.items():
+            if name in assignment:
+                placed[c] = assignment[name]
+        return placed
+
+    def _critical_paths(self, placed: np.ndarray) -> np.ndarray:
+        """Critical-path length for each row of *placed* (B x vars)."""
+        n = len(self.base)
+        # finish[r, b]: weights first, then each level adds its start.
+        finish = np.empty((n + 1, len(placed)))
+        finish[:n] = self.base
+        finish[n] = 0.0
+        finish[self.cnot_rows] = self.durations[
+            placed[:, self.controls], placed[:, self.targets]].T
+        for lo, hi, preds in self.levels:
+            start = finish[preds[0]]
+            for slot in preds[1:]:
+                np.maximum(start, finish[slot], out=start)
+            finish[lo:hi] += start
+        return finish.max(axis=0)
+
+
 class TimeSmtMapper(Mapper):
     """T-SMT / T-SMT*: minimize schedule makespan.
 
@@ -264,49 +429,11 @@ class TimeSmtMapper(Mapper):
         self.check_fits(circuit, calibration)
         search_qubits = _interacting_qubits(circuit)
         model = _base_model(search_qubits, calibration)
-        dag = DependencyDAG.from_circuit(circuit)
         uniform = self.options.variant == "t-smt"
-        min_cnot_slots = (self.options.uniform_cnot_slots if uniform
-                          else min(e.cnot_duration_slots
-                                   for e in calibration.edges.values()))
         if uniform:
             self._break_symmetry(model, search_qubits, calibration)
-
-        # Per-location best-case routed-CNOT duration: tightens the
-        # critical-path bound for CNOTs with one placed endpoint.
-        if uniform:
-            min_from = {h: self.options.uniform_cnot_slots
-                        for h in calibration.topology.iter_qubits()}
-        else:
-            min_from = {
-                h: min(tables.delta(h, h2)
-                       for h2 in calibration.topology.iter_qubits()
-                       if h2 != h)
-                for h in calibration.topology.iter_qubits()
-            }
-
-        all_hw = list(calibration.topology.iter_qubits())
-        rest_qubits = [q for q in range(circuit.n_qubits)
-                       if q not in search_qubits]
-
-        def value_fn(assignment: Dict[str, int]) -> float:
-            # Non-interacting qubits do not affect the makespan; fill
-            # them with any free locations (cheap, called per leaf).
-            placement = {q: assignment[_var(q)] for q in search_qubits}
-            used = set(placement.values())
-            free = (h for h in all_hw if h not in used)
-            for q in rest_qubits:
-                placement[q] = next(free)
-            return -makespan_of(circuit, placement, calibration, tables,
-                                self.options, dag=dag)
-
-        def bound_fn(assignment: Dict[str, int], domains) -> float:
-            weights = self._optimistic_durations(
-                circuit, assignment, calibration, tables, min_cnot_slots,
-                min_from)
-            return -dag.longest_path_length(weights)
-
-        model.objective = CallableObjective(value_fn, bound_fn)
+        model.objective = MakespanObjective(circuit, calibration, tables,
+                                            self.options, search_qubits)
         solver = BranchAndBoundSolver(
             time_limit=self.options.solver_time_limit)
         # The noise-unaware flavor must stay calibration-independent, so
@@ -325,6 +452,9 @@ class TimeSmtMapper(Mapper):
         elapsed = time.perf_counter() - start
         if result.assignment is None:
             raise MappingError("T-SMT found no feasible placement")
+        if result.objective == -math.inf:
+            raise SchedulingError(
+                "T-SMT found no placement meeting the coherence deadlines")
         partial = {q: result.assignment[_var(q)] for q in search_qubits}
         placement = _complete_placement(circuit, calibration, partial)
         out = MappingResult(placement=placement,
@@ -377,39 +507,3 @@ class TimeSmtMapper(Mapper):
             if mapped[first] in canonical:
                 return mapped
         return initial
-
-    def _optimistic_durations(self, circuit: Circuit,
-                              assignment: Dict[str, int],
-                              calibration: Calibration,
-                              tables: ReliabilityTables,
-                              min_cnot_slots: float,
-                              min_from: Dict[int, float]) -> List[float]:
-        """Admissible per-gate durations for the critical-path bound.
-
-        CNOTs with both endpoints placed get their true routed duration;
-        one placed endpoint gets that location's best-case routed time;
-        none gets the global best-case adjacent-CNOT time.
-        """
-        uniform = self.options.variant == "t-smt"
-        weights: List[float] = []
-        for gate in circuit.gates:
-            if gate.name == "barrier":
-                weights.append(0.0)
-            elif gate.is_measure:
-                weights.append(float(READOUT_SLOTS))
-            elif gate.is_two_qubit:
-                hc = assignment.get(_var(gate.qubits[0]))
-                ht = assignment.get(_var(gate.qubits[1]))
-                if hc is None and ht is None:
-                    weights.append(min_cnot_slots)
-                elif hc is None or ht is None or hc == ht:
-                    placed = ht if hc is None else hc
-                    weights.append(min_from[placed])
-                elif uniform:
-                    weights.append(tables.uniform_duration(
-                        hc, ht, tau_cnot=self.options.uniform_cnot_slots))
-                else:
-                    weights.append(tables.delta(hc, ht))
-            else:
-                weights.append(float(SINGLE_QUBIT_SLOTS))
-        return weights

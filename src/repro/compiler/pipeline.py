@@ -186,10 +186,12 @@ def register_mapper(variant: str, factory: MapperFactory,
 
 
 register_mapper(VARIANT_QISKIT, lambda options: TrivialMapper())
-register_mapper(VARIANT_T_SMT, TimeSmtMapper,
-                ("variant", "uniform_cnot_slots", "solver_time_limit"))
-register_mapper(VARIANT_T_SMT_STAR, TimeSmtMapper,
-                ("variant", "uniform_cnot_slots", "solver_time_limit"))
+# T-SMT scores placements by list-scheduling them, so every option the
+# scheduler reads decides the placement too.
+_T_SMT_FIELDS = ("variant", "routing", "uniform_cnot_slots",
+                 "coherence_slots", "enforce_coherence", "solver_time_limit")
+register_mapper(VARIANT_T_SMT, TimeSmtMapper, _T_SMT_FIELDS)
+register_mapper(VARIANT_T_SMT_STAR, TimeSmtMapper, _T_SMT_FIELDS)
 register_mapper(VARIANT_R_SMT_STAR, ReliabilitySmtMapper,
                 ("omega", "solver_time_limit"))
 register_mapper(VARIANT_GREEDY_V, GreedyVertexMapper)

@@ -11,8 +11,10 @@ on the result.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.compiler.options import CompilerOptions
 from repro.compiler.routing.policies import Route, Router
@@ -116,19 +118,27 @@ def gate_durations(circuit: Circuit, placement: Dict[int, int],
     return out
 
 
-def schedule_circuit(circuit: Circuit, placement: Dict[int, int],
-                     calibration: Calibration, tables: ReliabilityTables,
-                     options: CompilerOptions,
-                     dag: Optional[DependencyDAG] = None) -> Schedule:
-    """Schedule *circuit* under *placement* with the options' policy.
+def _list_schedule(circuit: Circuit, placement: Dict[int, int],
+                   calibration: Calibration, tables: ReliabilityTables,
+                   options: CompilerOptions,
+                   dag: Optional[DependencyDAG]):
+    """Earliest-ready-gate-first list scheduling.
 
-    Earliest-ready-gate-first: gates become ready when all dependencies
-    finish; among ready gates the one that can start earliest (given its
-    reserved region) is committed first.
+    Gates become ready when all dependencies finish; among ready gates
+    the one that can start earliest (given its reserved region) is
+    committed first, ties broken by program order.
 
-    Raises:
-        SchedulingError: If ``options.enforce_coherence`` and a gate
-            finishes after a participating qubit's coherence deadline.
+    Ready gates wait in a heap keyed by ``(start, index)`` with lazily
+    refreshed keys. A gate's release time is fixed once it is ready and
+    ``free_at`` only grows, so a gate's true start never drops below
+    its key. A popped entry whose recomputed start equals its key is
+    therefore no later than every other ready gate's true
+    ``(start, index)`` — exactly the argmin a scan of the ready set
+    would pick; a stale entry goes back with its fresh key.
+
+    Returns:
+        ``(order, starts, per_gate)``: gate indices in commit order,
+        their start times, and :func:`gate_durations` for every gate.
     """
     if options.variant in ("t-smt", "qiskit"):
         prefer = "fixed"  # noise-blind variants
@@ -146,44 +156,71 @@ def schedule_circuit(circuit: Circuit, placement: Dict[int, int],
         dag = DependencyDAG.from_circuit(circuit)
 
     n = len(circuit.gates)
-    free_at: Dict[int, float] = {h: 0.0 for h in
-                                 calibration.topology.iter_qubits()}
-    finish: List[float] = [0.0] * n
+    free_at = [0.0] * calibration.topology.n_qubits
+    finish = [0.0] * n
+    release = [0.0] * n
     unscheduled_preds = [len(p) for p in dag.preds]
-    ready = [i for i in range(n) if unscheduled_preds[i] == 0]
-    scheduled: List[ScheduledGate] = []
-    done = [False] * n
+    heap = [(0.0, i) for i in range(n) if not unscheduled_preds[i]]
+    order: List[int] = []
+    starts: List[float] = []
 
-    while ready:
-        # Earliest feasible start among ready gates; FIFO tie-break on
-        # program order keeps the schedule deterministic.
-        def start_of(i: int) -> float:
-            release = max((finish[p] for p in dag.preds[i]), default=0.0)
-            region = per_gate[i][1]
-            resource = max((free_at[h] for h in region), default=0.0)
-            return max(release, resource)
+    def start_of(i: int) -> float:
+        # Earliest start: after the release and the reserved region.
+        start = release[i]
+        for h in per_gate[i][1]:
+            if free_at[h] > start:
+                start = free_at[h]
+        return start
 
-        best = min(ready, key=lambda i: (start_of(i), i))
-        ready.remove(best)
-        duration, region, route = per_gate[best]
+    while heap:
+        key, best = heapq.heappop(heap)
         start = start_of(best)
-        finish[best] = start + duration
-        for h in region:
+        if start != key:
+            heapq.heappush(heap, (start, best))
+            continue
+        finish[best] = start + per_gate[best][0]
+        for h in per_gate[best][1]:
             free_at[h] = finish[best]
-        scheduled.append(ScheduledGate(index=best, start=start,
-                                       duration=duration,
-                                       hw_qubits=region, route=route))
-        done[best] = True
+        order.append(best)
+        starts.append(start)
         for succ in dag.succs[best]:
             unscheduled_preds[succ] -= 1
             if unscheduled_preds[succ] == 0:
-                ready.append(succ)
+                release[succ] = max(finish[p] for p in dag.preds[succ])
+                heapq.heappush(heap, (start_of(succ), succ))
 
-    if not all(done):
+    if len(order) != n:
         raise SchedulingError("dependency cycle detected")  # pragma: no cover
+    return order, starts, per_gate
+
+
+def schedule_circuit(circuit: Circuit, placement: Dict[int, int],
+                     calibration: Calibration, tables: ReliabilityTables,
+                     options: CompilerOptions,
+                     dag: Optional[DependencyDAG] = None) -> Schedule:
+    """Schedule *circuit* under *placement* with the options' policy.
+
+    Earliest-ready-gate-first: gates become ready when all dependencies
+    finish; among ready gates the one that can start earliest (given its
+    reserved region) is committed first.
+
+    Raises:
+        SchedulingError: If ``options.enforce_coherence`` and a gate
+            finishes after a participating qubit's coherence deadline.
+    """
+    order, starts, per_gate = _list_schedule(
+        circuit, placement, calibration, tables, options, dag)
+    scheduled: List[ScheduledGate] = []
+    for i, start in zip(order, starts):
+        duration, region, route = per_gate[i]
+        scheduled.append(ScheduledGate(index=i, start=start,
+                                       duration=duration,
+                                       hw_qubits=region, route=route))
 
     makespan = max((g.finish for g in scheduled), default=0.0)
-    violations = _coherence_violations(scheduled, calibration, options)
+    violations = _coherence_violations(
+        ((g.index, g.finish, g.hw_qubits) for g in scheduled),
+        calibration, options)
     if violations and options.enforce_coherence:
         i, h, fin, deadline = violations[0]
         raise SchedulingError(
@@ -194,18 +231,24 @@ def schedule_circuit(circuit: Circuit, placement: Dict[int, int],
                     coherence_violations=violations)
 
 
-def _coherence_violations(scheduled: List[ScheduledGate],
+def _coherence_violations(finished: Iterable[Tuple[int, float,
+                                                   Tuple[int, ...]]],
                           calibration: Calibration,
                           options: CompilerOptions):
-    """Constraint 4 (static bound) or 6 (per-qubit calibrated bound)."""
+    """Constraint 4 (static bound) or 6 (per-qubit calibrated bound).
+
+    Args:
+        finished: ``(gate index, finish time, hw qubits)`` per gate, in
+            commit order.
+    """
     violations = []
     noise_aware = options.is_noise_aware or options.variant == "t-smt*"
-    for g in scheduled:
-        for h in g.hw_qubits:
+    for index, fin, hw_qubits in finished:
+        for h in hw_qubits:
             deadline = (calibration.coherence_slots(h) if noise_aware
                         else options.coherence_slots)
-            if g.finish > deadline + 1e-9:
-                violations.append((g.index, h, g.finish, deadline))
+            if fin > deadline + 1e-9:
+                violations.append((index, h, fin, deadline))
     return violations
 
 
@@ -213,6 +256,17 @@ def makespan_of(circuit: Circuit, placement: Dict[int, int],
                 calibration: Calibration, tables: ReliabilityTables,
                 options: CompilerOptions,
                 dag: Optional[DependencyDAG] = None) -> float:
-    """Makespan of the list schedule — the T-SMT leaf objective."""
-    return schedule_circuit(circuit, placement, calibration, tables,
-                            options, dag=dag).makespan
+    """Makespan of the list schedule — the T-SMT leaf objective.
+
+    Under ``options.enforce_coherence`` a schedule that misses a
+    coherence deadline is infeasible and its makespan is ``inf``;
+    otherwise deadlines are not checked at all.
+    """
+    order, starts, per_gate = _list_schedule(
+        circuit, placement, calibration, tables, options, dag)
+    finishes = [start + per_gate[i][0] for i, start in zip(order, starts)]
+    if options.enforce_coherence and _coherence_violations(
+            ((i, fin, per_gate[i][1]) for i, fin in zip(order, finishes)),
+            calibration, options):
+        return math.inf
+    return max(finishes, default=0.0)

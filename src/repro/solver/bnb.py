@@ -307,13 +307,8 @@ class _Search:
         if objective is None or len(values) <= 1:
             return [(v, None) for v in values]
 
-        bounds: Dict[int, float] = {}
-        for value in values:
-            assignment[var] = value
-            try:
-                bounds[value] = objective.bound(assignment, domains)
-            finally:
-                del assignment[var]
+        bounds = dict(zip(values, objective.bound_values(
+            assignment, var, values, domains)))
         values.sort(key=bounds.__getitem__, reverse=True)
         return [(v, bounds[v]) for v in values]
 

@@ -78,6 +78,26 @@ class Objective:
         partial *assignment* given the remaining *domains*."""
         raise NotImplementedError
 
+    def bound_values(self, assignment: Assignment, var: str,
+                     values: Sequence[int],
+                     domains: Dict[str, set]) -> List[float]:
+        """:meth:`bound` of *assignment* extended by ``var = value``,
+        for each of *values* in order.
+
+        The generic search probes every candidate value of its
+        branching variable through this hook; objectives that can bound
+        a whole batch at once override it. *assignment* is left as
+        given.
+        """
+        bounds: List[float] = []
+        for value in values:
+            assignment[var] = value
+            try:
+                bounds.append(self.bound(assignment, domains))
+            finally:
+                del assignment[var]
+        return bounds
+
 
 @dataclass
 class Model:

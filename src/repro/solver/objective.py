@@ -5,7 +5,9 @@ log-reliabilities, which decomposes into unary terms (readout on one
 program qubit) and pairwise terms (a CNOT between two program qubits).
 :class:`SumObjective` exploits that decomposition to compute tight
 admissible bounds during search. :class:`CallableObjective` wraps
-non-decomposable objectives such as schedule makespan.
+other objectives given as plain functions (the T-SMT makespan objective
+subclasses :class:`~repro.solver.model.Objective` directly, to bound
+whole batches of candidate values at once).
 """
 
 from __future__ import annotations
