@@ -12,9 +12,10 @@ from repro.compiler import (
     ReliabilitySmtMapper,
     TimeSmtMapper,
     TrivialMapper,
+    compile_circuit,
     make_mapper,
 )
-from repro.exceptions import MappingError
+from repro.exceptions import MappingError, SchedulingError
 from repro.hardware import (
     ReliabilityTables,
     default_ibmq16_calibration,
@@ -166,6 +167,32 @@ class TestTimeSmt:
         assert cal.topology.is_adjacent(result.placement[1],
                                         result.placement[2])
         assert result.optimal
+
+    @pytest.mark.parametrize("name", ["BV4", "BV6", "BV8", "HS4", "HS6",
+                                      "Peres", "Adder"])
+    def test_enforced_coherence_searches_for_compliant_placement(
+            self, name, cal, tables):
+        """A leaf that misses a deadline is infeasible, not fatal: the
+        search goes on to the optimal placement that meets the bound."""
+        circuit = build_benchmark(name)
+        optimum = -TimeSmtMapper(CompilerOptions.t_smt()).run(
+            circuit, cal, tables).objective
+        options = CompilerOptions.t_smt().with_(
+            coherence_slots=optimum + 0.5, enforce_coherence=True)
+        program = compile_circuit(circuit, cal, options, tables=tables)
+        assert -program.mapping.objective == optimum
+        assert program.mapping.optimal
+        assert program.schedule.coherence_ok
+
+    def test_enforced_coherence_without_compliant_placement_raises(
+            self, cal, tables):
+        circuit = build_benchmark("BV4")
+        optimum = -TimeSmtMapper(CompilerOptions.t_smt()).run(
+            circuit, cal, tables).objective
+        options = CompilerOptions.t_smt().with_(
+            coherence_slots=optimum - 0.5, enforce_coherence=True)
+        with pytest.raises(SchedulingError, match="coherence"):
+            TimeSmtMapper(options).run(circuit, cal, tables)
 
 
 class TestGreedy:

@@ -185,6 +185,30 @@ class TestStagePrefixCache:
         assert first.placement == second.placement
         assert cache.stages.stats.hits >= 1
 
+    @pytest.mark.parametrize("changes", [
+        {"routing": "rr"},
+        {"enforce_coherence": True, "coherence_slots": 45.0},
+    ])
+    def test_tsmt_mapping_keyed_by_scheduler_options(self, cal, tables,
+                                                     changes):
+        # T-SMT scores placements with the list scheduler, so options
+        # the scheduler reads must split the mapping stage: on Peres
+        # t-smt*(1bp) and t-smt*(rr) choose different placements.
+        circuit = build_benchmark("Peres")
+        base = (CompilerOptions.t_smt_star(routing="1bp")
+                if "routing" in changes else CompilerOptions.t_smt())
+        other = base.with_(**changes)
+        stages = StageCache()
+        compile_circuit(circuit, cal, base, tables=tables,
+                        stage_cache=stages)
+        shared = compile_circuit(circuit, cal, other, tables=tables,
+                                 stage_cache=stages)
+        fresh = compile_circuit(circuit, cal, other, tables=tables)
+        assert mapping_stage_fingerprint(base) != \
+            mapping_stage_fingerprint(other)
+        assert shared.placement == fresh.placement
+        assert shared.mapping.objective == fresh.mapping.objective
+
     def test_peephole_change_reuses_prefix_through_swap_insert(self, cal):
         cache = CompileCache()
         circuit = build_benchmark("Toffoli")
