@@ -20,7 +20,7 @@ from repro.programs import random_circuit
 from repro.simulator import best_accelerated_backend, execute
 from repro.simulator.xp import CHUNK_ENV
 
-from conftest import SMOKE, record
+from conftest import SMOKE, pedantic_median, record
 
 #: Big enough that per-gate tensordots dominate the run; greedy
 #: mapping because the SMT variants do not scale to 12 qubits.
@@ -62,11 +62,9 @@ def test_gpu_speedup_over_numpy(benchmark, program_12q, calibration):
     assert accelerated.counts == reference.counts
 
     numpy_median = timed_numpy(1 if SMOKE else 3)
-    benchmark.pedantic(
-        execute, args=(program_12q, calibration),
-        kwargs={**kwargs, "engine": "gpu"},
-        rounds=1 if SMOKE else 5, iterations=1)
-    gpu_median = benchmark.stats.stats.median
+    _, gpu_median = pedantic_median(
+        benchmark, execute, args=(program_12q, calibration),
+        kwargs={**kwargs, "engine": "gpu"}, rounds=1 if SMOKE else 5)
     speedup = numpy_median / gpu_median
     benchmark.extra_info["speedup"] = speedup
     record(benchmark,

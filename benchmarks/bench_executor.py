@@ -14,7 +14,7 @@ from repro.compiler import CompilerOptions, compile_circuit
 from repro.programs import build_benchmark, expected_output
 from repro.simulator import execute
 
-from conftest import SMOKE, record
+from conftest import SMOKE, pedantic_median, record
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +49,9 @@ def test_batched_speedup_bv4_4096(benchmark, bv4_program, calibration):
 
     execute(bv4_program, calibration, engine="batched", **kwargs)  # warm
     legacy = timed("trial")
-    batched = benchmark.pedantic(
-        execute, args=(bv4_program, calibration),
-        kwargs={**kwargs, "engine": "batched"},
-        rounds=5, iterations=1)
-    batched_median = benchmark.stats.stats.median
+    batched, batched_median = pedantic_median(
+        benchmark, execute, args=(bv4_program, calibration),
+        kwargs={**kwargs, "engine": "batched"}, rounds=5)
     speedup = legacy / batched_median
     benchmark.extra_info["speedup"] = speedup
     record(benchmark,

@@ -24,7 +24,7 @@ from repro.programs import get_benchmark
 from repro.runtime import SweepCell, run_sweep
 from repro.simulator import execute
 
-from conftest import BENCH_TRIALS, SMOKE, record
+from conftest import BENCH_TRIALS, SMOKE, pedantic_median, record
 
 #: Executor seeds (error-bar replication, as the harnesses run it).
 SEEDS = (7, 8) if SMOKE else (7, 8, 9)
@@ -79,10 +79,10 @@ def test_trace_scaling_beats_fold_and_recompile(benchmark):
                                      options)
     fold_seconds = time.perf_counter() - start
 
-    sweep = benchmark.pedantic(
-        trace_sweep, args=(circuit, spec.expected_output, cal, options),
-        rounds=3, iterations=1, warmup_rounds=1)
-    trace_seconds = benchmark.stats.stats.median
+    sweep, trace_seconds = pedantic_median(
+        benchmark, trace_sweep,
+        args=(circuit, spec.expected_output, cal, options),
+        rounds=3, warmup_rounds=1)
 
     # Trace-level scaling avoids recompilation entirely: one compile
     # for the whole (seed x scale) sweep, served from cache thereafter.
@@ -133,9 +133,9 @@ def test_mitigated_sweep_amortizes_like_plain_cells(benchmark):
     run_sweep(grid(SEEDS[:1]))
     single = time.perf_counter() - start
 
-    sweep = benchmark.pedantic(run_sweep, args=(grid(SEEDS),),
-                               rounds=3, iterations=1, warmup_rounds=1)
-    replicated = benchmark.stats.stats.median
+    sweep, replicated = pedantic_median(benchmark, run_sweep,
+                                        args=(grid(SEEDS),), rounds=3,
+                                        warmup_rounds=1)
     assert len(sweep) == len(SEEDS)
     ratio = replicated / single
     benchmark.extra_info["replication_cost_ratio"] = ratio

@@ -20,7 +20,7 @@ from repro.hardware import ReliabilityTables
 from repro.programs import get_benchmark
 from repro.runtime import SweepCell, run_sweep
 
-from conftest import SMOKE, record
+from conftest import SMOKE, pedantic_median, record
 
 BENCHMARKS = ("BV4",) if SMOKE else ("BV4", "HS6", "Toffoli", "Peres")
 ROUTINGS = ("1bp", "rr") if SMOKE else ("1bp", "rr", "best", "shortest")
@@ -65,9 +65,9 @@ def test_stage_prefix_cache_speedup(benchmark, calibration):
     baseline = compile_whole_programs(cells, calibration)
     baseline_seconds = time.perf_counter() - start
 
-    swept = benchmark.pedantic(run_sweep, args=(cells,),
-                               rounds=3, iterations=1, warmup_rounds=1)
-    swept_seconds = benchmark.stats.stats.median
+    swept, swept_seconds = pedantic_median(benchmark, run_sweep,
+                                           args=(cells,), rounds=3,
+                                           warmup_rounds=1)
 
     # Bit-identity: every cell's compiled artifact matches the
     # whole-program path.
@@ -111,9 +111,9 @@ def test_stage_cache_scales_with_knob_count(benchmark, calibration):
     run_sweep(one_combo)
     single = time.perf_counter() - start
 
-    full = benchmark.pedantic(run_sweep, args=(cells,),
-                              rounds=3, iterations=1, warmup_rounds=1)
-    replicated = benchmark.stats.stats.median
+    full, replicated = pedantic_median(benchmark, run_sweep,
+                                       args=(cells,), rounds=3,
+                                       warmup_rounds=1)
     ratio = replicated / single
     combos = len(ROUTINGS) * len(PEEPHOLE)
     benchmark.extra_info["knob_cost_ratio"] = ratio

@@ -25,7 +25,7 @@ from repro.programs import get_benchmark
 from repro.runtime import CompileCache, SweepCell, run_sweep
 from repro.simulator import execute
 
-from conftest import SMOKE, record
+from conftest import SMOKE, pedantic_median, record
 
 #: Executor seeds per configuration (the error-bar replication that
 #: makes cross-cell caching pay). Smoke mode shrinks the grid to an
@@ -102,10 +102,9 @@ def test_sweep_speedup_and_identity(benchmark):
     baseline_counts = run_serial_uncached(cells)
     baseline_seconds = time.perf_counter() - start
 
-    parallel = benchmark.pedantic(run_sweep, args=(cells,),
-                                  kwargs={"workers": 4},
-                                  rounds=3, iterations=1, warmup_rounds=1)
-    sweep_seconds = benchmark.stats.stats.median
+    parallel, sweep_seconds = pedantic_median(
+        benchmark, run_sweep, args=(cells,), kwargs={"workers": 4},
+        rounds=3, warmup_rounds=1)
     serial_sweep = run_sweep(cells, workers=0)
 
     # Bit-identity: uncached baseline == serial sweep == parallel sweep.
@@ -152,9 +151,9 @@ def test_sweep_scales_with_replication(benchmark):
     run_sweep(one_seed)
     single = time.perf_counter() - start
 
-    full = benchmark.pedantic(run_sweep, args=(base_cells,),
-                              rounds=3, iterations=1, warmup_rounds=1)
-    replicated = benchmark.stats.stats.median
+    full, replicated = pedantic_median(benchmark, run_sweep,
+                                       args=(base_cells,), rounds=3,
+                                       warmup_rounds=1)
     ratio = replicated / single
     benchmark.extra_info["replication_cost_ratio"] = ratio
     record(benchmark,

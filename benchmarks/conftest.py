@@ -6,6 +6,8 @@ asserts its qualitative shape, and records the rendered rows/series in
 """
 
 import os
+import statistics
+import time
 
 import pytest
 
@@ -49,3 +51,26 @@ def measure(benchmark, fn, *args, **kwargs):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                                   rounds=1, iterations=1)
     return benchmark(fn, *args, **kwargs)
+
+
+def pedantic_median(benchmark, fn, args=(), kwargs=None, rounds=1,
+                    warmup_rounds=0):
+    """Run *fn* through ``benchmark.pedantic``; return (result, median s).
+
+    Each call is timed with ``time.perf_counter`` here rather than read
+    back from ``benchmark.stats``, which is ``None`` under
+    ``--benchmark-disable`` (pytest-benchmark then calls the subject
+    exactly once, and that one call is the median).
+    """
+    samples = []
+
+    def timed(*call_args, **call_kwargs):
+        start = time.perf_counter()
+        result = fn(*call_args, **call_kwargs)
+        samples.append(time.perf_counter() - start)
+        return result
+
+    result = benchmark.pedantic(timed, args=args, kwargs=kwargs or {},
+                                rounds=rounds, iterations=1,
+                                warmup_rounds=warmup_rounds)
+    return result, statistics.median(samples[-rounds:])
