@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
              "allocations, and solver search counters")
     add_machine_args(profile_p)
     add_compile_args(profile_p)
-    profile_p.add_argument("--no-alloc", action="store_true",
-                           help="skip allocation tracing (tracemalloc "
+    profile_p.add_argument("--alloc", action="store_true",
+                           help="also trace allocations (tracemalloc "
                                 "slows the compile it measures)")
     profile_p.add_argument("--json", action="store_true",
                            help="emit the profile as JSON instead of a "
@@ -519,7 +519,7 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
                                      seed=args.calibration_seed)
     options = _options(args)
     pipeline = build_pipeline(options)
-    with Profiler(trace_allocations=not args.no_alloc) as profiler:
+    with Profiler(trace_allocations=args.alloc) as profiler:
         program = pipeline.run(circuit, calibration, options,
                                profiler=profiler)
     solver_stats = program.mapping.stats if program.mapping else None

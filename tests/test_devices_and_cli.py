@@ -144,6 +144,20 @@ class TestCli:
         assert code == 0
         assert "est.reliability" in text
 
+    def test_profile_traces_allocations_only_on_request(self):
+        code, text = self.run_cli("profile", "--benchmark", "BV4",
+                                  "--variant", "greedye*", "--json")
+        assert code == 0
+        passes = json.loads(text)["passes"]
+        assert "schedule" in passes
+        assert all(p["peak_bytes"] == 0 for p in passes.values())
+        code, text = self.run_cli("profile", "--benchmark", "BV4",
+                                  "--variant", "greedye*", "--json",
+                                  "--alloc")
+        assert code == 0
+        passes = json.loads(text)["passes"]
+        assert any(p["peak_bytes"] > 0 for p in passes.values())
+
     def test_unknown_device_is_an_error(self):
         code, _ = self.run_cli("calibration", "--device", "toaster")
         assert code == 1
