@@ -574,6 +574,36 @@ class TestDiskCache:
         assert cold.results[0].execution.counts == \
             warm.results[0].execution.counts
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_study_cache_traffic_is_pinned(self, tmp_path, workers):
+        """Exact cache traffic of a mitigation study run twice on one
+        ``cache_dir``: the first seed fills the disk tier, the second
+        reads it back. The counts are the same at every worker count.
+        A changed count means the caching changed; never re-pin."""
+        from repro.experiments import run_mitigation_study
+
+        def traffic(seed):
+            sweep = run_mitigation_study(
+                benchmarks=("BV4", "HS2", "Toffoli"), trials=128,
+                seed=seed, workers=workers, cache_dir=tmp_path).sweep
+            memory = {tier: (stats.hits, stats.lookups) for tier, stats in
+                      (("compile", sweep.compile_stats),
+                       ("stage", sweep.stage_stats),
+                       ("trace", sweep.trace_stats))}
+            disk = {}
+            for tier in ("compile", "stage", "trace"):
+                stats = sweep.disk_stats.get(tier)
+                disk[tier] = (0, 0) if stats is None else \
+                    (stats.hits, stats.misses)
+            return memory, disk
+
+        assert traffic(1) == (
+            {"compile": (12, 18), "stage": (0, 24), "trace": (60, 78)},
+            {"compile": (0, 6), "stage": (0, 24), "trace": (0, 18)})
+        assert traffic(2) == (
+            {"compile": (18, 18), "stage": (0, 0), "trace": (48, 66)},
+            {"compile": (6, 0), "stage": (0, 0), "trace": (18, 0)})
+
 
 # ----------------------------------------------------------------------
 # The experiment harness
