@@ -3,8 +3,8 @@
 The acceptance bar for the pass-manager pipeline's stage cache: a
 fig10-style grid that sweeps scheduling/peephole knobs (routing policy
 x peephole) over a *fixed* R-SMT* mapping must compile >= 1.5x faster
-through the sweep runtime (whose compile cache nests a
-:class:`~repro.runtime.StageCache`) than through per-cell whole-program
+through the sweep runtime (whose compile cache keeps a stage tier in
+its :class:`~repro.runtime.Store`) than through per-cell whole-program
 compilation, and the outputs must be bit-identical.
 
 The win is by construction: the SMT mapping dominates compile time

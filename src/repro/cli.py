@@ -32,8 +32,9 @@ Every executing subcommand takes ``--device`` (a registered backend
 name; ``repro sweep`` accepts several and runs the grid per device),
 and ``repro run`` takes ``--engine`` (any registered execution
 engine). ``repro run``, ``repro sweep`` and ``repro mitigate`` accept
-``--cache-dir DIR`` to persist the compile/stage cache on disk, so
-repeated invocations reuse compilations across processes.
+``--cache-dir DIR`` to open the runtime store's disk tier there, so
+repeated invocations reuse compilations, stage artifacts and lowered
+traces across processes.
 
 ``repro sweep`` runs on the fault-tolerant runtime: failed cells are
 reported, not fatal (``--strict`` restores abort-on-first-error with a
@@ -169,8 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cache_dir(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cache-dir", type=Path, default=None,
-                       help="persist the compile/stage cache in this "
-                            "directory (reused across invocations)")
+                       help="persist compiles, stage artifacts, traces "
+                            "and the cell journal in this directory "
+                            "(reused across invocations)")
 
     def add_array_backend_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--array-backend", default=None, metavar="NAME",
@@ -537,9 +539,9 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
 def _compile_cache(args: argparse.Namespace):
     """The compile cache an invocation should use (disk-backed when
     ``--cache-dir`` was given, fresh in-memory otherwise)."""
-    from repro.runtime import make_compile_cache
+    from repro.runtime import CompileCache
 
-    return make_compile_cache(getattr(args, "cache_dir", None))
+    return CompileCache(getattr(args, "cache_dir", None))
 
 
 def _array_backend_setup(args: argparse.Namespace) -> Optional[str]:

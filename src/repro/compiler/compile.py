@@ -168,7 +168,8 @@ def compile_circuit(circuit: Circuit, calibration: Calibration,
         options: Variant selection; defaults to R-SMT* with omega 0.5.
         tables: Precomputed routing tables (reuse across compilations of
             the same snapshot to save time).
-        stage_cache: Optional :class:`~repro.runtime.cache.StageCache`
+        stage_cache: Optional stage tier
+            (:meth:`~repro.runtime.cache.CompileCache.stages_for`)
             sharing per-pass artifacts (e.g. the SMT mapping) across
             compilations that agree on a pipeline prefix.
 

@@ -18,7 +18,8 @@ key*: ``key_i = H(key_{i-1} | fingerprint(pass_i))`` seeded with the
 circuit fingerprint and calibration content id. A sweep that varies
 only post-mapping knobs (routing policy, peephole, coherence handling)
 therefore shares the expensive SMT/greedy mapping artifact across
-cells through a :class:`~repro.runtime.cache.StageCache` — see
+cells through the stage tier of a
+:class:`~repro.runtime.cache.CompileCache` — see
 :meth:`PassManager.run`'s ``stage_cache`` hook.
 
 :func:`build_pipeline` assembles the canonical Fig.-3 pipeline for a
@@ -435,11 +436,11 @@ class PassManager:
                 entry point).
             tables: Precomputed routing tables (reuse across
                 compilations of the same snapshot to save time).
-            stage_cache: Optional
-                :class:`~repro.runtime.cache.StageCache`-like object
-                (``get(key)``/``put(key, artifact)``). Stage outputs
-                are looked up by prefix key before running and stored
-                after; cached artifacts are shared objects, so their
+            stage_cache: Optional object with ``get(key)`` and
+                ``put(key, artifact)``, such as
+                :meth:`~repro.runtime.cache.CompileCache.stages_for`
+                returns. Stage outputs are looked up by prefix key
+                before running and stored after; cached artifacts are shared objects, so their
                 wall-clock diagnostics (e.g. ``MappingResult.solve_time``)
                 describe the original computation.
             profiler: Optional :class:`repro.profiling.Profiler`;

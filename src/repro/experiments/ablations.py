@@ -33,11 +33,10 @@ from repro.experiments.common import (
 )
 from repro.hardware import (
     Calibration,
-    ReliabilityTables,
     default_ibmq16_calibration,
 )
 from repro.programs import all_benchmarks, get_benchmark
-from repro.runtime import StageCache, SweepCell, run_sweep
+from repro.runtime import CompileCache, SweepCell, run_sweep
 from repro.simulator import execute
 
 
@@ -103,14 +102,15 @@ def run_peephole_ablation(calibration: Optional[Calibration] = None,
 
     Built as an explicit pipeline *edit* rather than an option flag:
     the tidy arm is the plain pass list with :class:`PeepholePass`
-    inserted after SWAP insertion. Both arms run through one shared
-    :class:`~repro.runtime.StageCache`, so the mapping → schedule →
-    swap-insert prefix is computed once per benchmark and only the
-    peephole (and downstream reliability) stages differ.
+    inserted after SWAP insertion. Both arms run through the stage tier
+    of one :class:`~repro.runtime.CompileCache`, so the mapping →
+    schedule → swap-insert prefix is computed once per benchmark and
+    only the peephole (and downstream reliability) stages differ.
     """
     cal = calibration or default_ibmq16_calibration()
-    tables = ReliabilityTables(cal)
-    stages = StageCache()
+    cache = CompileCache()
+    tables = cache.tables_for(cal)
+    stages = cache.stages_for()
     prefix = [MappingPass("qiskit"), SchedulingPass(), SwapInsertPass()]
     plain_pipeline = PassManager(prefix + [ReliabilityPass()])
     tidy_pipeline = PassManager(prefix + [PeepholePass(),

@@ -163,11 +163,8 @@ def compile_and_run(circuit: Circuit, expected: str,
                      array_backend=array_backend,
                      backend=resolved, key=circuit.name)
     if trace_cache is None:
-        from repro.runtime.diskcache import make_trace_cache
-
-        # A persistent compile cache extends its disk store to traces.
-        trace_cache = make_trace_cache(
-            store=getattr(compile_cache, "_store", None))
+        # A compile cache's disk tier extends to traces.
+        trace_cache = TraceCache(compile_cache.store.sibling())
     result = run_cell(cell, compile_cache, trace_cache)
     return BenchmarkRun(benchmark=circuit.name, variant=options.variant,
                         compiled=result.compiled, execution=result.execution)

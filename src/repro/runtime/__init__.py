@@ -1,5 +1,6 @@
 """Scenario-sweep runtime: declarative grids, process-pool execution,
-and content-addressed compile/trace caching.
+and one content-addressed :class:`Store` for compiles, stage
+artifacts, lowered traces and the checkpoint journal.
 
 The experiment harnesses (``repro.experiments``) and the ``repro
 sweep`` CLI subcommand express their (benchmark x variant x calibration
@@ -13,20 +14,13 @@ from repro.runtime.cache import (
     CompileCache,
     CompileKey,
     PrefixKey,
-    StageCache,
+    Store,
     TraceCache,
     compile_key,
     machine_id,
     mapping_prefix_key,
 )
-from repro.runtime.diskcache import (
-    DiskStore,
-    PersistentCompileCache,
-    PersistentStageCache,
-    ResultJournal,
-    StoreStats,
-    make_compile_cache,
-)
+from repro.runtime.diskcache import DiskStore
 from repro.runtime.faults import FaultPlan, faults_armed
 from repro.runtime.sweep import (
     DEFAULT_TRIALS,
@@ -49,12 +43,8 @@ __all__ = [
     "DEFAULT_TRIALS",
     "DiskStore",
     "FaultPlan",
-    "PersistentCompileCache",
-    "PersistentStageCache",
     "PrefixKey",
-    "ResultJournal",
-    "StageCache",
-    "StoreStats",
+    "Store",
     "SweepCell",
     "SweepResult",
     "TraceCache",
@@ -62,7 +52,6 @@ __all__ = [
     "compile_key",
     "faults_armed",
     "machine_id",
-    "make_compile_cache",
     "mapping_prefix_key",
     "run_cell",
     "run_cell_guarded",

@@ -1,42 +1,53 @@
-"""Content-addressed caches underlying the sweep runtime.
+"""The content-addressed :class:`Store` under the sweep runtime.
 
-Three cache layers, mirroring the expensive stages of a scenario cell:
+Every expensive stage of a scenario cell is keyed by content — circuit,
+calibration and options fingerprints — so a fresh calibration snapshot
+is a fresh key and a repeated configuration is a lookup. One
+:class:`Store` holds all of it: an in-memory dict per namespace over an
+optional :class:`~repro.runtime.diskcache.DiskStore` tier
+(``Store(root)``), which persists entries across processes.
 
-* :class:`CompileCache` — compiled programs keyed by (circuit
-  fingerprint, calibration content id, options fingerprint). A sweep
-  grid that varies only seed or trial count pays compilation once per
-  distinct configuration instead of once per cell. The cache also
-  memoizes the :class:`~repro.hardware.ReliabilityTables` built for
-  each calibration snapshot, which every compilation of that snapshot
-  shares.
-* :class:`StageCache` — individual pipeline-pass artifacts keyed by
-  stage-prefix key (see :mod:`repro.compiler.pipeline`). Nested inside
-  every :class:`CompileCache`: when a whole-program lookup misses, the
-  pipeline still reuses any shared prefix — most importantly, cells
-  that differ only in post-mapping knobs (routing policy, peephole,
-  coherence handling) share one expensive SMT/greedy mapping artifact.
-* :class:`TraceCache` — lowered
-  :class:`~repro.simulator.trace.ProgramTrace` objects keyed by
-  (compiled-program fingerprint, noise-model key). The batched executor
-  consults it through the ``trace_cache`` hook of
-  :func:`repro.simulator.execute`, so re-executing the same compiled
-  program (new seed, new shot count) skips the flat-array lowering.
+Namespaces:
 
-All caches are in-process dictionaries. The parallel sweep path gets
-cross-worker sharing not by a shared store but by scheduling: cells
-with the same mapping-prefix key are routed to the same worker (see
-:mod:`repro.runtime.sweep`), which makes hit counts deterministic and
-independent of the worker count.
+* ``compile`` — compiled programs keyed by :func:`compile_key`. A grid
+  that varies only seed or trial count compiles once per distinct
+  configuration.
+* ``stage`` — pipeline-pass artifacts keyed by stage-prefix chain (see
+  :mod:`repro.compiler.pipeline`): cells that differ only in
+  post-mapping knobs (routing policy, peephole, coherence handling)
+  share one expensive SMT/greedy mapping artifact.
+* ``trace`` — lowered :class:`~repro.simulator.trace.ProgramTrace`
+  objects keyed by (compiled-program fingerprint, calibration, noise
+  key); re-executing a compiled program skips the lowering. On disk
+  they are compressed ``.npz`` flat arrays (no pickle on the load
+  path), and only exact ``ProgramTrace`` objects go there.
+* ``cell`` — the checkpoint journal of finished sweep cells, keyed by
+  :func:`~repro.runtime.sweep.cell_fingerprint`. It exists to outlive
+  the process, so it lives on the disk tier only (``store.disk``).
 
-Keys are content hashes, not object identities, so a cache can be
-(re)used across harnesses: fig5 and fig7 both compiling the T-SMT*
-baseline for BV4 on day 0 share one compilation.
+Two thin fronts give the namespaces their domain-shaped APIs:
+:class:`CompileCache` (``get_or_compile``, the per-calibration
+:class:`~repro.hardware.ReliabilityTables` memo, and the stage tier the
+pipeline consults) and :class:`TraceCache` (the ``trace_cache`` hook of
+:func:`repro.simulator.execute`). Cells carrying a backend prefix their
+stage and trace keys with its content id, so cross-device sweeps can
+never alias.
+
+The parallel sweep path gets cross-worker sharing not by a shared
+memory tier but by scheduling: cells with the same mapping-prefix key
+go to the same worker (see :mod:`repro.runtime.sweep`), which keeps hit
+counts independent of the worker count. Workers open the disk tier at
+the same root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import io
+from dataclasses import replace
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.compiler import (
     CompiledProgram,
@@ -46,7 +57,8 @@ from repro.compiler import (
 )
 from repro.hardware import Calibration, ReliabilityTables
 from repro.ir.circuit import Circuit
-from repro.simulator import NoiseModel, noise_content_key
+from repro.runtime.diskcache import CacheStats, DiskStore
+from repro.simulator import NoiseModel, ProgramTrace, noise_content_key
 
 if TYPE_CHECKING:
     from repro.backend import Backend
@@ -56,6 +68,9 @@ CompileKey = Tuple[str, str, str]
 
 #: (circuit fingerprint, machine id, mapping fingerprint).
 PrefixKey = Tuple[str, str, str]
+
+#: The namespaces with a memory tier (the ``cell`` journal is disk-only).
+NAMESPACES = ("compile", "stage", "trace")
 
 
 def machine_id(calibration: Calibration,
@@ -90,131 +105,135 @@ def mapping_prefix_key(circuit: Circuit, calibration: Calibration,
     key always share a prefix key, and cells that differ only in
     post-mapping options share a prefix key without sharing a compile
     key — exactly the set that can reuse a mapping artifact through the
-    stage cache.
+    stage tier.
     """
     return (circuit.fingerprint(), machine_id(calibration, backend),
             mapping_stage_fingerprint(options))
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters for one cache."""
+class Store:
+    """In-memory dicts per namespace over an optional disk tier.
 
-    hits: int = 0
-    misses: int = 0
+    Args:
+        root: Directory of the :class:`~repro.runtime.diskcache.DiskStore`
+            tier; ``None`` keeps everything in memory.
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def merge(self, other: "CacheStats") -> None:
-        """Fold another counter (e.g. a worker's) into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-
-
-class StageCache:
-    """Memoizes individual pipeline-pass artifacts by prefix key.
-
-    The key space is the stage-prefix chain of
-    :meth:`repro.compiler.PassManager.run`: an artifact is addressed by
-    everything that determined it (circuit, calibration, and the
-    fingerprints of every pass up to and including its own), so lookups
-    can never alias across option values that drive a pass differently.
-    Artifacts are shared objects; treat them as immutable.
+    Attributes:
+        disk: The disk tier (``None`` without *root*). Its ``cell``
+            kind is the sweep's checkpoint journal.
+        memory: Namespace → ``{key: value}``. Values are shared
+            objects; treat them as immutable.
+        stats: Namespace → live :class:`CacheStats` of lookups.
     """
 
-    def __init__(self) -> None:
-        self._artifacts: Dict[str, object] = {}
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._artifacts)
-
-    def _lookup(self, key: str):
-        """Storage hook for subclasses layering extra tiers."""
-        return self._artifacts.get(key)
-
-    def get(self, key: str):
-        """The cached artifact, or ``None`` (counted as a miss)."""
-        artifact = self._lookup(key)
-        if artifact is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return artifact
-
-    def put(self, key: str, artifact: object) -> None:
-        self._artifacts[key] = artifact
-
-    def scoped(self, scope: Optional[str]) -> "StageCache":
-        """A view of this cache whose keys are namespaced by *scope*.
-
-        The sweep runtime scopes stage lookups by backend content id
-        (``None`` — no backend — returns this cache unchanged), so
-        cross-device sweeps can never share a stage artifact even when
-        their calibrations happen to serialize identically. The view
-        shares storage and counters with its parent.
-        """
-        if scope is None:
-            return self
-        return _ScopedStageCache(self, scope)
-
-
-class _ScopedStageCache:
-    """Key-namespacing view over a :class:`StageCache`."""
-
-    def __init__(self, parent: StageCache, scope: str) -> None:
-        self._parent = parent
-        self._scope = scope
+    def __init__(self, root=None) -> None:
+        self.disk = None if root is None else DiskStore(root)
+        self.memory: Dict[str, dict] = {ns: {} for ns in NAMESPACES}
+        self.stats: Dict[str, CacheStats] = {
+            ns: CacheStats() for ns in NAMESPACES}
 
     @property
-    def stats(self) -> CacheStats:
-        return self._parent.stats
+    def root(self):
+        """The disk tier's directory, or ``None``."""
+        return None if self.disk is None else self.disk.root
 
-    def __len__(self) -> int:
-        return len(self._parent)
+    def sibling(self) -> "Store":
+        """A store with empty memory tiers and counters over this
+        store's disk tier (shared, degradation state included)."""
+        store = Store()
+        store.disk = self.disk
+        return store
 
-    def get(self, key: str):
-        return self._parent.get(f"{self._scope}|{key}")
+    def get(self, namespace: str, key):
+        """The value under *key*, or ``None``; counted in ``stats``.
 
-    def put(self, key: str, artifact: object) -> None:
-        self._parent.put(f"{self._scope}|{key}", artifact)
+        The memory tier answers first; on a miss the disk tier is read
+        and a found value is promoted into memory. A disk-served compile
+        or stage entry counts as a hit (the work was avoided); a
+        disk-served trace counts as a miss, since trace counters have
+        always described the memory tier alone.
+        """
+        memory = self.memory[namespace]
+        value = memory.get(key)
+        hit = value is not None
+        if not hit and self.disk is not None:
+            value = self._load(namespace, key)
+            if value is not None:
+                memory[key] = value
+                hit = namespace != "trace"
+        stats = self.stats[namespace]
+        if hit:
+            stats.hits += 1
+        else:
+            stats.misses += 1
+        return value
 
-    def scoped(self, scope: Optional[str]):
-        # Scopes don't nest: re-scoping from the same backend is a
-        # no-op and nothing re-scopes across backends.
-        if scope is None or scope == self._scope:
-            return self
-        return _ScopedStageCache(self._parent, scope)
+    def put(self, namespace: str, key, value) -> None:
+        """Record *value* in memory and, when present, on disk."""
+        self.memory[namespace][key] = value
+        if self.disk is not None:
+            self._dump(namespace, key, value)
+
+    def _load(self, namespace: str, key):
+        if namespace != "trace":
+            return self.disk.load(namespace, key)
+        blob = self.disk.load_blob(namespace, repr(key))
+        if blob is None:
+            return None
+        try:
+            with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+                return ProgramTrace.from_arrays(dict(data))
+        except Exception:
+            return None  # malformed entry: a miss, re-lowered
+
+    def _dump(self, namespace: str, key, value) -> None:
+        if namespace != "trace":
+            self.disk.store(namespace, key, value)
+            return
+        # The stabilizer engine parks its own lowered objects under the
+        # same key contract; they (and any subclass) stay memory-only
+        # rather than risk a lossy round-trip.
+        if type(value) is not ProgramTrace:
+            return
+        buf = io.BytesIO()
+        try:
+            np.savez_compressed(buf, **value.to_arrays())
+        except Exception:
+            return
+        self.disk.store_blob(namespace, repr(key), buf.getvalue())
+
+    def disk_stats(self) -> Dict[str, CacheStats]:
+        """Per-kind disk-tier counters as a snapshot (empty without a
+        disk tier); see :meth:`DiskStore.snapshot`."""
+        return {} if self.disk is None else self.disk.snapshot()
+
+    def redeem(self) -> bool:
+        """Probe a degraded disk tier back to persistent mode (see
+        :meth:`DiskStore.redeem`); trivially true without one."""
+        return self.disk is None or self.disk.redeem()
 
 
 class CompileCache:
     """Memoizes ``compile_circuit`` results by content key.
 
-    Misses compile through the nested :class:`StageCache`, so even the
+    Misses compile through the store's stage namespace, so even the
     first compilation of a new option value reuses any pipeline prefix
     (typically the mapping stage) computed for a sibling configuration.
+
+    Args:
+        root: Optional directory of the store's disk tier.
     """
 
-    #: Checkpoint journal of completed cell results
-    #: (:class:`~repro.runtime.diskcache.ResultJournal`); only the
-    #: disk-backed subclass provides one — the sweep runtime journals
-    #: and resumes only when it is non-``None``.
-    journal = None
-
-    def __init__(self) -> None:
-        self._programs: Dict[CompileKey, CompiledProgram] = {}
+    def __init__(self, root=None) -> None:
+        self.store = Store(root)
         self._tables: Dict[str, ReliabilityTables] = {}
-        self.stats = CacheStats()
-        self.stages = StageCache()
+
+    @property
+    def stats(self) -> CacheStats:
+        return self.store.stats["compile"]
 
     def __len__(self) -> int:
-        return len(self._programs)
+        return len(self.store.memory["compile"])
 
     def tables_for(self, calibration: Calibration) -> ReliabilityTables:
         """The (shared) routing tables for a calibration snapshot."""
@@ -229,43 +248,16 @@ class CompileCache:
         """Adopt externally built tables (legacy call sites pass them)."""
         self._tables.setdefault(calibration.content_id(), tables)
 
-    def _lookup(self, key: CompileKey) -> Optional[CompiledProgram]:
-        """Storage hook: the cached program for *key*, or ``None``.
-
-        Subclasses (e.g. the persistent cache in
-        :mod:`repro.runtime.diskcache`) override this to consult
-        additional tiers behind the in-memory dictionary.
-        """
-        return self._programs.get(key)
-
-    def _insert(self, key: CompileKey, program: CompiledProgram) -> None:
-        """Storage hook: record a freshly compiled program."""
-        self._programs[key] = program
-
     def stages_for(self, backend: Optional["Backend"] = None):
-        """The stage cache, scoped to *backend* when one is given."""
-        if backend is None:
-            return self.stages
-        return self.stages.scoped(backend.content_id())
-
-    def disk_stats(self) -> Dict[str, "object"]:
-        """Per-tier persistent-store counters (empty: no disk tier).
-
-        Overridden by :class:`repro.runtime.diskcache.PersistentCompileCache`
-        to expose its :class:`~repro.runtime.diskcache.StoreStats` per
-        store kind (``"compile"``, ``"stage"``).
-        """
-        return {}
-
-    def redeem(self) -> bool:
-        """Persistent-store degradation recovery probe.
-
-        No disk tier here, so trivially healthy; the disk-backed
-        subclass probes its store (see
-        :meth:`repro.runtime.diskcache.DiskStore.redeem`). Long-lived
-        callers (the compile service) poll this between batches.
-        """
-        return True
+        """The stage namespace as the pipeline's stage cache
+        (``get(key)``/``put(key, artifact)``), keys prefixed by
+        *backend*'s content id when one is given."""
+        prefix = "" if backend is None else f"{backend.content_id()}|"
+        store = self.store
+        return SimpleNamespace(
+            get=lambda key: store.get("stage", prefix + key),
+            put=lambda key, artifact: store.put("stage", prefix + key,
+                                                artifact))
 
     def get_or_compile(self, circuit: Circuit, calibration: Calibration,
                        options: CompilerOptions,
@@ -278,24 +270,21 @@ class CompileCache:
         describes the original compilation, and replaying it would make
         sweep timing reports count the same work once per cell.
 
-        With *backend*, both the whole-program key and the nested
-        stage-cache keys are scoped by its content id (see
-        :func:`machine_id`).
+        With *backend*, both the whole-program key and the stage keys
+        are scoped by its content id (see :func:`machine_id`).
         """
-        key = compile_key(circuit, calibration, options, backend)
-        program = self._lookup(key)
+        key = "|".join(compile_key(circuit, calibration, options, backend))
+        program = self.store.get("compile", key)
         if program is not None:
-            self.stats.hits += 1
             served = replace(program, compile_time=0.0, cache_hit=True)
             if "_fingerprint" in program.__dict__:  # carry the memo over
                 served.__dict__["_fingerprint"] = \
                     program.__dict__["_fingerprint"]
             return served, True
-        self.stats.misses += 1
         program = compile_circuit(circuit, calibration, options,
                                   tables=self.tables_for(calibration),
                                   stage_cache=self.stages_for(backend))
-        self._insert(key, program)
+        self.store.put("compile", key, program)
         return program, False
 
 
@@ -307,19 +296,27 @@ class TraceCache:
     is fully determined by calibration content and the mechanism flags)
     are cached; exotic subclasses bypass the cache unless they provide
     their own ``trace_key()`` describing their full configuration.
+
+    Args:
+        store: The :class:`Store` whose ``trace`` namespace to use
+            (default: a fresh in-memory one).
     """
 
-    def __init__(self) -> None:
-        self._traces: Dict[tuple, object] = {}
-        self.stats = CacheStats()
+    #: Backend content id prefixed to every key (see :meth:`scoped`).
+    scope: Optional[str] = None
+
+    def __init__(self, store: Optional[Store] = None) -> None:
+        self.store = store if store is not None else Store()
+
+    @property
+    def stats(self) -> CacheStats:
+        return self.store.stats["trace"]
 
     def __len__(self) -> int:
-        return len(self._traces)
+        return len(self.store.memory["trace"])
 
-    @staticmethod
-    def _key(compiled: CompiledProgram, noise: NoiseModel,
-             calibration: Calibration,
-             scope: Optional[str] = None) -> Optional[tuple]:
+    def _key(self, compiled: CompiledProgram, noise: NoiseModel,
+             calibration: Calibration) -> Optional[tuple]:
         noise_key = noise_content_key(noise)
         if noise_key is None:
             # Unknown subclass state (or an explicit trace_key() of
@@ -330,63 +327,30 @@ class TraceCache:
         # sites, and execute() supports running under a different
         # snapshot than the noise model was built on.
         key = (compiled.fingerprint(), calibration.content_id(), noise_key)
-        return key if scope is None else (scope,) + key
-
-    def get(self, compiled: CompiledProgram, noise: NoiseModel,
-            calibration: Calibration, scope: Optional[str] = None):
-        """The cached trace, or ``None`` (counted as a miss)."""
-        key = self._key(compiled, noise, calibration, scope)
-        if key is None:
-            return None
-        trace = self._traces.get(key)
-        if trace is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return trace
-
-    def put(self, compiled: CompiledProgram, noise: NoiseModel,
-            calibration: Calibration, trace,
-            scope: Optional[str] = None) -> None:
-        key = self._key(compiled, noise, calibration, scope)
-        if key is not None:
-            self._traces[key] = trace
-
-    def scoped(self, backend: Optional["Backend"]) -> "TraceCache":
-        """A view whose keys are namespaced by *backend*'s content id.
-
-        ``None`` returns this cache unchanged (the pre-backend key
-        layout). The view satisfies the ``get``/``put`` contract of
-        :func:`repro.simulator.execute`'s ``trace_cache`` argument and
-        shares storage and counters with its parent — the sweep runtime
-        hands each cell a view scoped to its backend so cross-device
-        grids never alias a lowered trace.
-        """
-        if backend is None:
-            return self
-        return _ScopedTraceCache(self, backend.content_id())
-
-
-class _ScopedTraceCache:
-    """Key-namespacing view over a :class:`TraceCache`."""
-
-    def __init__(self, parent: TraceCache, scope: str) -> None:
-        self._parent = parent
-        self._scope = scope
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._parent.stats
-
-    def __len__(self) -> int:
-        return len(self._parent)
+        return key if self.scope is None else (self.scope,) + key
 
     def get(self, compiled: CompiledProgram, noise: NoiseModel,
             calibration: Calibration):
-        return self._parent.get(compiled, noise, calibration,
-                                scope=self._scope)
+        """The cached trace, or ``None`` (counted as a miss)."""
+        key = self._key(compiled, noise, calibration)
+        return None if key is None else self.store.get("trace", key)
 
     def put(self, compiled: CompiledProgram, noise: NoiseModel,
             calibration: Calibration, trace) -> None:
-        self._parent.put(compiled, noise, calibration, trace,
-                         scope=self._scope)
+        key = self._key(compiled, noise, calibration)
+        if key is not None:
+            self.store.put("trace", key, trace)
+
+    def scoped(self, backend: Optional["Backend"]) -> "TraceCache":
+        """This cache with keys prefixed by *backend*'s content id.
+
+        ``None`` returns this cache unchanged (the pre-backend key
+        layout). The result shares the store, entries and counters —
+        the sweep runtime hands each cell one scoped to its backend so
+        cross-device grids never alias a lowered trace.
+        """
+        if backend is None:
+            return self
+        view = TraceCache(self.store)
+        view.scope = backend.content_id()
+        return view

@@ -1,33 +1,36 @@
-"""Persistent on-disk compile/stage cache.
+"""The disk tier of the runtime's :class:`~repro.runtime.cache.Store`,
+and the counters every tier reports.
 
-The in-process caches of :mod:`repro.runtime.cache` die with the
-process, so every CLI invocation used to recompile from scratch. This
-module layers a small **content-addressed directory store** underneath
-them: compiled programs and pipeline stage artifacts are pickled into
-``<cache-dir>/compile/`` and ``<cache-dir>/stage/`` under the sha256 of
-their content key, so a repeated ``repro run``/``repro sweep``/``repro
-mitigate`` (or a mitigation sweep's folded pipeline variants) reuses
-compilations across processes.
+A :class:`~repro.runtime.cache.Store` opened with a ``root`` directory
+backs its in-memory namespaces with one :class:`DiskStore`: compiled
+programs, pipeline stage artifacts, lowered traces and the checkpoint
+journal of finished sweep cells live under ``<root>/<layout>/<kind>/``
+(kinds ``compile``, ``stage``, ``trace`` and ``cell``), so a repeated
+``repro run``/``repro sweep``/``repro mitigate`` — or a pool worker, or
+a restarted compile service — reuses work across processes.
 
 Design points:
 
-* **Content addressing** — the filename *is* the hashed content key
-  (circuit fingerprint x calibration id x options fingerprint for
-  whole programs; the pipeline's stage-prefix chain key for stage
-  artifacts), so a different *input* is always a different file. Keys
-  cover inputs, not compiler code, so the store layout is additionally
-  namespaced by a digest of the installed package's source: entries
-  written by one version of the code are invisible to an edited one,
-  rather than served stale after a pass's behavior changes.
+* **Content addressing** — the filename is the sha256 of the entry's
+  content key (circuit fingerprint x machine id x options fingerprint
+  for whole programs; the pipeline's stage-prefix chain for stage
+  artifacts; compiled-program x calibration x noise key for traces;
+  the cell fingerprint for journal entries), so a different *input* is
+  always a different file. Keys cover inputs, not compiler code, so
+  the layout is additionally namespaced by a digest of the installed
+  package's source: entries written by one version of the code are
+  invisible to an edited one, rather than served stale.
 * **Eviction-free with an integrity check on load** — the store never
-  deletes; every entry embeds the sha256 of its pickled payload plus
-  the full (unhashed) content key, and a load that fails either check
-  (torn write, bit rot, hash collision) is treated as a miss and
-  recompiled, never trusted.
+  deletes; every entry embeds the sha256 of its payload plus the full
+  (unhashed) content key, and a load that fails either check (torn
+  write, bit rot, hash collision) is a miss, never trusted.
 * **Concurrency-safe writes** — entries are written to a temp file and
   published with an atomic :func:`os.replace`, so parallel sweep
-  workers sharing one directory race benignly (last writer wins with
-  an identical artifact).
+  workers sharing one directory race benignly.
+* **Degradation** — after :data:`DEGRADE_AFTER` consecutive failed
+  writes (disk full, read-only mount) the store flips to memory-only
+  with one ``RuntimeWarning``; :meth:`DiskStore.redeem` probes its way
+  back.
 """
 
 from __future__ import annotations
@@ -42,27 +45,26 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import repro
-from repro.runtime.cache import (CompileCache, CompileKey, StageCache,
-                                 TraceCache)
 
 #: Consecutive failed writes after which a store flips to memory-only.
 DEGRADE_AFTER = 3
 
+#: Entry-format tag; bump on layout changes.
+_FORMAT = "v1"
+
+_layout_cache: Optional[str] = None
+
 
 @dataclass
-class StoreStats:
-    """Per-tier counters of one persistent store kind.
+class CacheStats:
+    """Counters of one cache tier.
 
-    Counts only the *disk* tier's traffic: a ``load`` is attempted
-    only after the in-memory tier missed, so ``hits`` here are
-    compilations served across process boundaries (and ``misses``
-    are first-ever computations or integrity-check rejections).
-    ``write_errors`` counts failed publishes (full/read-only disk);
-    ``degraded`` reports the owning store having given up on the
-    filesystem entirely (see :attr:`DiskStore.degraded`), and
-    ``redeemed`` how many times it *recovered* — a successful
-    :meth:`DiskStore.redeem` probe flipped it back to persistent mode
-    after a transient outage (long-lived servers retry periodically).
+    A memory tier counts only ``hits`` and ``misses``. The disk tier of
+    a kind also counts bytes and failed writes; its lookups happen only
+    after the memory tier missed, so its ``hits`` are work served
+    across process boundaries. ``degraded`` and ``redeemed`` are the
+    owning :class:`DiskStore`'s state (memory-only mode, recoveries
+    from it), stamped onto snapshots rather than counted.
     """
 
     hits: int = 0
@@ -77,25 +79,27 @@ class StoreStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    def merge(self, other: "StoreStats") -> None:
-        """Fold another counter (e.g. a pool worker's) into this one."""
+    @property
+    def hit_rate(self) -> float:
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    def merge(self, other: "CacheStats") -> None:
+        """Fold another counter (e.g. a pool worker's) into this one.
+        Store state is not traffic: merging views of one store must not
+        multiply-count a recovery."""
         self.hits += other.hits
         self.misses += other.misses
         self.bytes_read += other.bytes_read
         self.bytes_written += other.bytes_written
         self.write_errors += other.write_errors
         self.degraded = self.degraded or other.degraded
-        # Like ``degraded``, redemption is store *state* stamped onto
-        # every tier's snapshot, not per-tier traffic: merging views of
-        # the same store must not multiply-count it.
         self.redeemed = max(self.redeemed, other.redeemed)
 
-    def minus(self, baseline: "StoreStats") -> "StoreStats":
-        """The traffic since *baseline* (an earlier snapshot of the
-        same counter) — how a sweep isolates its own share of a reused
-        cache's cumulative totals. ``degraded`` and ``redeemed`` are
-        current state, not traffic, and carry through undiffed."""
-        return StoreStats(hits=self.hits - baseline.hits,
+    def minus(self, baseline: "CacheStats") -> "CacheStats":
+        """The traffic since *baseline*, an earlier snapshot of the same
+        counter — how a sweep isolates its share of a reused store's
+        totals. ``degraded`` and ``redeemed`` carry through undiffed."""
+        return CacheStats(hits=self.hits - baseline.hits,
                           misses=self.misses - baseline.misses,
                           bytes_read=self.bytes_read - baseline.bytes_read,
                           bytes_written=self.bytes_written
@@ -120,16 +124,11 @@ class StoreStats:
 
 def _format_bytes(n: int) -> str:
     value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
+    for unit in ("B", "KiB", "MiB"):
+        if value < 1024:
             return f"{value:.0f}B" if unit == "B" else f"{value:.1f}{unit}"
         value /= 1024.0
-    return f"{n}B"  # pragma: no cover — unreachable
-
-#: Entry-format tag; bump on layout changes.
-_FORMAT = "v1"
-
-_layout_cache: Optional[str] = None
+    return f"{value:.1f}GiB"
 
 
 def _layout() -> str:
@@ -154,17 +153,37 @@ def _layout() -> str:
     return _layout_cache
 
 
+def _publish(path: Path, *chunks: bytes) -> None:
+    """Write *chunks* to *path* atomically (temp file + ``os.replace``);
+    raises ``OSError`` on failure, leaving no temp file behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class DiskStore:
-    """Content-addressed pickle store under one root directory.
+    """Content-addressed, integrity-checked entries under one root.
 
     Args:
-        root: Cache directory (created on first write).
+        root: Cache directory (created on first write), shared freely
+            between processes.
     """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        #: Per-kind (``"compile"``/``"stage"``/``"cell"``) counters.
-        self.stats: Dict[str, StoreStats] = {}
+        #: Per-kind counters (``"compile"``/``"stage"``/``"trace"``/
+        #: ``"cell"``).
+        self.stats: Dict[str, CacheStats] = {}
         #: True once repeated write failures flipped the store to
         #: memory-only mode (reads still work; writes are skipped).
         self.degraded = False
@@ -172,15 +191,8 @@ class DiskStore:
         self.redemptions = 0
         self._consecutive_write_failures = 0
 
-    def stats_for(self, kind: str) -> StoreStats:
-        stats = self.stats.get(kind)
-        if stats is None:
-            stats = self.stats[kind] = StoreStats()
-        return stats
-
-    def _path(self, kind: str, key: str) -> Path:
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        return self.root / _layout() / kind / digest[:2] / digest
+    def stats_for(self, kind: str) -> CacheStats:
+        return self.stats.setdefault(kind, CacheStats())
 
     def entry_path(self, kind: str, key: str) -> Path:
         """Where *key*'s entry lives on disk (it may not exist yet).
@@ -188,7 +200,17 @@ class DiskStore:
         Exposed for the fault-injection harness, which corrupts
         entries in place to prove loads degrade to recomputation.
         """
-        return self._path(kind, key)
+        digest = hashlib.sha256(key.encode()).hexdigest()
+        return self.root / _layout() / kind / digest[:2] / digest
+
+    def snapshot(self) -> Dict[str, CacheStats]:
+        """Copies of the per-kind counters with the store's current
+        ``degraded``/``redeemed`` state stamped on. Callers reporting a
+        bounded span (one sweep) diff two snapshots with
+        :meth:`CacheStats.minus`."""
+        return {kind: replace(stats, degraded=self.degraded,
+                              redeemed=self.redemptions)
+                for kind, stats in self.stats.items()}
 
     def _note_write_failure(self, kind: str) -> None:
         """Account a failed publish; repeatedly failing writes flip
@@ -209,37 +231,24 @@ class DiskStore:
     def redeem(self) -> bool:
         """Attempt to lift a memory-only degradation.
 
-        A degraded store never retries the filesystem on the hot path
-        (every artifact write probing a dead disk is exactly what
-        degradation exists to stop), but a *transient* outage — disk
-        briefly full, NFS blip — would otherwise pin a long-lived
-        server in memory-only mode forever. ``redeem`` is the explicit,
-        cheap recovery probe: one small atomic write. On success the
-        store returns to persistent mode with a fresh failure streak
-        (and the recovery is surfaced as ``redeemed`` in every tier's
-        :class:`StoreStats` snapshot); on failure the store stays
-        degraded, silently — callers poll this at their own cadence
-        (the compile service probes between batches).
+        A degraded store never retries the filesystem on the hot path,
+        but a *transient* outage — disk briefly full, NFS blip — would
+        otherwise pin a long-lived server in memory-only mode forever.
+        ``redeem`` is the explicit, cheap recovery probe: one small
+        atomic write. On success the store returns to persistent mode
+        with a fresh failure streak (surfaced as ``redeemed`` in every
+        kind's snapshot); on failure it stays degraded, silently —
+        callers poll this at their own cadence (the compile service
+        probes between batches).
 
         Returns True when the store is persistent again (including
         when it never degraded).
         """
         if not self.degraded:
             return True
-        probe = self.root / _layout() / "redeem.probe"
         try:
-            probe.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=probe.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(b"redeem-probe")
-                os.replace(tmp, probe)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            _publish(self.root / _layout() / "redeem.probe",
+                     b"redeem-probe")
         except OSError:
             return False
         self.degraded = False
@@ -258,18 +267,16 @@ class DiskStore:
         """
         stats = self.stats_for(kind)
         try:
-            blob = self._path(kind, key).read_bytes()
+            blob = self.entry_path(kind, key).read_bytes()
         except OSError:
             stats.misses += 1
             return None
         stats.bytes_read += len(blob)
         digest, _, rest = blob.partition(b"\n")
         stored_key, _, payload = rest.partition(b"\n")
-        if stored_key.decode("utf-8", errors="replace") != key:
-            stats.misses += 1
-            return None
-        if hashlib.sha256(payload).hexdigest() != digest.decode(
-                "ascii", errors="replace"):
+        if (stored_key.decode("utf-8", errors="replace") != key
+                or hashlib.sha256(payload).hexdigest()
+                != digest.decode("ascii", errors="replace")):
             stats.misses += 1
             return None
         stats.hits += 1
@@ -280,13 +287,13 @@ class DiskStore:
 
         On top of :meth:`load_blob`'s integrity checks, an unpicklable
         payload also loads as ``None`` (counted back as a miss)."""
-        stats = self.stats_for(kind)
         payload = self.load_blob(kind, key)
         if payload is None:
             return None
         try:
             return pickle.loads(payload)
         except Exception:
+            stats = self.stats_for(kind)
             stats.hits -= 1
             stats.misses += 1
             return None
@@ -298,30 +305,15 @@ class DiskStore:
         A full disk degrades to in-memory caching rather than failing
         the sweep; after :data:`DEGRADE_AFTER` consecutive ``OSError``
         publishes the whole store flips to memory-only mode (warn-once
-        ``RuntimeWarning``, surfaced in :class:`StoreStats`) instead of
+        ``RuntimeWarning``, surfaced in the stats snapshots) instead of
         retrying the filesystem on every artifact.
         """
         if self.degraded:
             return
-        path = self._path(kind, key)
+        digest = hashlib.sha256(payload).hexdigest()
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            digest = hashlib.sha256(payload).hexdigest()
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(digest.encode("ascii"))
-                    handle.write(b"\n")
-                    handle.write(key.encode("utf-8"))
-                    handle.write(b"\n")
-                    handle.write(payload)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            _publish(self.entry_path(kind, key), digest.encode("ascii"),
+                     b"\n", key.encode("utf-8"), b"\n", payload)
         except OSError:
             self._note_write_failure(kind)
             return
@@ -331,223 +323,9 @@ class DiskStore:
 
     def store(self, kind: str, key: str, obj: object) -> None:
         """Pickle and persist *obj* under *key* (see :meth:`store_blob`;
-        an unpicklable artifact is silently kept memory-only)."""
+        an unpicklable object is silently kept memory-only)."""
         try:
             payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return
         self.store_blob(kind, key, payload)
-
-
-def _compile_key_string(key: CompileKey) -> str:
-    return "|".join(key)
-
-
-class ResultJournal:
-    """Checkpoint journal of completed sweep-cell results.
-
-    A thin view over a :class:`DiskStore`'s ``"cell"`` kind: completed
-    :class:`~repro.runtime.sweep.CellResult` objects are recorded
-    content-addressed by their cell's fingerprint
-    (:func:`~repro.runtime.sweep.cell_fingerprint`), so
-    ``run_sweep(resume=True)`` can skip already-completed cells after a
-    crash, a worker loss, or Ctrl-C. The store's integrity check makes
-    corrupt entries load as ``None`` — resume then degrades to
-    re-executing the cell, never to trusting a torn write. Failed
-    cells are deliberately not journaled: a resumed sweep re-attempts
-    them.
-    """
-
-    KIND = "cell"
-
-    def __init__(self, store: DiskStore) -> None:
-        self._store = store
-
-    @property
-    def stats(self) -> StoreStats:
-        """The journal's disk-tier counters (hits = resumed cells)."""
-        return self._store.stats_for(self.KIND)
-
-    def load(self, fingerprint: str):
-        """The journaled result for a cell fingerprint, or ``None``."""
-        return self._store.load(self.KIND, fingerprint)
-
-    def record(self, fingerprint: str, result) -> None:
-        """Journal one completed cell (atomic, idempotent)."""
-        self._store.store(self.KIND, fingerprint, result)
-
-    def entry_path(self, fingerprint: str) -> Path:
-        """The entry's on-disk path (fault-injection corruption hook)."""
-        return self._store.entry_path(self.KIND, fingerprint)
-
-
-def make_compile_cache(cache_dir=None) -> CompileCache:
-    """The one rule for building a compile cache from a ``cache_dir``.
-
-    Used by the serial sweep path, every pool worker, and the CLI, so
-    the three can't drift: ``None`` means a fresh in-memory cache, a
-    path means the persistent store.
-    """
-    if cache_dir is None:
-        return CompileCache()
-    return PersistentCompileCache(cache_dir)
-
-
-class PersistentStageCache(StageCache):
-    """A :class:`StageCache` backed by a :class:`DiskStore`.
-
-    Disk-served artifacts count as hits (the expensive pass run was
-    avoided) and are promoted into the in-memory tier for the rest of
-    the process.
-    """
-
-    def __init__(self, store: DiskStore) -> None:
-        super().__init__()
-        self._store = store
-
-    def _lookup(self, key: str):
-        artifact = self._artifacts.get(key)
-        if artifact is None:
-            artifact = self._store.load("stage", key)
-            if artifact is not None:
-                self._artifacts[key] = artifact
-        return artifact
-
-    def put(self, key: str, artifact: object) -> None:
-        super().put(key, artifact)
-        self._store.store("stage", key, artifact)
-
-
-class PersistentTraceCache(TraceCache):
-    """A :class:`TraceCache` with an npz disk tier for lowered traces.
-
-    Lowering a :class:`~repro.simulator.trace.ProgramTrace` includes a
-    dense statevector simulation of the whole program (the ideal
-    distribution), so for the repeated-trials sweeps it is the dominant
-    per-cell cost after compilation. This tier serializes traces to
-    compressed ``.npz`` (flat arrays only — see
-    ``ProgramTrace.to_arrays``; no pickle on the load path) keyed by
-    the same content key the in-memory tier uses, so repeated
-    invocations with ``--cache-dir`` skip straight to sampling.
-
-    Only exact ``ProgramTrace`` instances go to disk: the stabilizer
-    engine parks its own lowered objects in the same cache under the
-    same key contract, and those (or any trace subclass) stay
-    memory-only rather than risking a lossy round-trip.
-    """
-
-    KIND = "trace"
-
-    def __init__(self, store: DiskStore) -> None:
-        super().__init__()
-        self._store = store
-
-    def get(self, compiled, noise, calibration, scope=None):
-        trace = super().get(compiled, noise, calibration, scope)
-        if trace is not None:
-            return trace
-        key = self._key(compiled, noise, calibration, scope)
-        if key is None:
-            return None
-        blob = self._store.load_blob(self.KIND, repr(key))
-        if blob is None:
-            return None
-        import io
-
-        import numpy as np
-
-        from repro.simulator.trace import ProgramTrace
-
-        try:
-            with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-                trace = ProgramTrace.from_arrays(dict(data))
-        except Exception:
-            return None  # malformed entry: treated as a miss, re-lowered
-        self._traces[key] = trace
-        return trace
-
-    def put(self, compiled, noise, calibration, trace,
-            scope=None) -> None:
-        super().put(compiled, noise, calibration, trace, scope)
-        from repro.simulator.trace import ProgramTrace
-
-        if type(trace) is not ProgramTrace:
-            return
-        key = self._key(compiled, noise, calibration, scope)
-        if key is None:
-            return
-        import io
-
-        import numpy as np
-
-        buf = io.BytesIO()
-        try:
-            np.savez_compressed(buf, **trace.to_arrays())
-        except Exception:
-            return
-        self._store.store_blob(self.KIND, repr(key), buf.getvalue())
-
-
-def make_trace_cache(cache_dir=None, store: Optional[DiskStore] = None
-                     ) -> TraceCache:
-    """The one rule for building a trace cache from a ``cache_dir``.
-
-    Mirrors :func:`make_compile_cache`: ``None`` means in-memory only,
-    a path means the npz-backed persistent tier. Pass ``store`` to
-    share an existing :class:`DiskStore` (and its degradation state /
-    stats) instead of opening a second one on the same directory.
-    """
-    if store is not None:
-        return PersistentTraceCache(store)
-    if cache_dir is None:
-        return TraceCache()
-    return PersistentTraceCache(DiskStore(cache_dir))
-
-
-class PersistentCompileCache(CompileCache):
-    """A :class:`CompileCache` whose programs and stages persist on disk.
-
-    Drop-in replacement accepted everywhere a ``CompileCache`` is
-    (``run_sweep(compile_cache=...)``, ``compile_and_run``); the CLI
-    builds one from ``--cache-dir``.
-
-    Args:
-        root: Cache directory, shared freely between processes.
-    """
-
-    def __init__(self, root) -> None:
-        super().__init__()
-        self._store = DiskStore(root)
-        self.stages = PersistentStageCache(self._store)
-        self.journal = ResultJournal(self._store)
-
-    def redeem(self) -> bool:
-        """Probe the shared store out of memory-only degradation
-        (see :meth:`DiskStore.redeem`)."""
-        return self._store.redeem()
-
-    def disk_stats(self) -> Dict[str, StoreStats]:
-        """Per-kind disk-tier counters of the shared store.
-
-        Returned as a snapshot (copied counters, current ``degraded``
-        state stamped on) of the cache's cumulative totals; callers
-        reporting a bounded span (e.g.
-        :func:`~repro.runtime.sweep.run_sweep`, whose result describes
-        one sweep) take a snapshot before and after and diff with
-        :meth:`StoreStats.minus`.
-        """
-        return {kind: replace(stats, degraded=self._store.degraded,
-                              redeemed=self._store.redemptions)
-                for kind, stats in self._store.stats.items()}
-
-    def _lookup(self, key: CompileKey):
-        program = super()._lookup(key)
-        if program is None:
-            program = self._store.load("compile", _compile_key_string(key))
-            if program is not None:
-                self._programs[key] = program
-        return program
-
-    def _insert(self, key: CompileKey, program) -> None:
-        super()._insert(key, program)
-        self._store.store("compile", _compile_key_string(key), program)

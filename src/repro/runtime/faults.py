@@ -141,7 +141,7 @@ class FaultPlan:
         scheduled — the resume path must treat it as a miss."""
         if not self.armed or index not in self.corrupt_journal:
             return
-        path = journal.entry_path(fingerprint)
+        path = journal.entry_path("cell", fingerprint)
         try:
             path.write_bytes(b"deadbeef\ncorrupted-by-fault-plan\n")
         except OSError:

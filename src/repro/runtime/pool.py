@@ -3,8 +3,9 @@
 The sweep runtime partitions a grid into batches of (index, cell)
 pairs — one batch per worker, with all cells sharing a mapping-prefix
 key placed in the same batch — and this module fans the batches out
-over supervised ``multiprocessing`` processes. Each worker builds its
-own :class:`~repro.runtime.cache.CompileCache`/
+over supervised ``multiprocessing`` processes. Each worker opens its
+own :class:`~repro.runtime.cache.Store` (at the sweep's disk root, when
+it has one) under a :class:`~repro.runtime.cache.CompileCache`/
 :class:`~repro.runtime.cache.TraceCache` pair, streams back one
 message per completed cell plus a final cache-counter message, and the
 parent merges everything.
@@ -49,7 +50,8 @@ from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.cache import CacheStats, TraceCache
+from repro.runtime.cache import NAMESPACES, CacheStats, CompileCache, \
+    TraceCache
 
 #: One unit of pool work: the cell plus its position in the grid.
 IndexedCell = Tuple[int, "SweepCell"]  # noqa: F821 — see runtime.sweep
@@ -60,35 +62,30 @@ _POLL_SECONDS = 0.1
 
 
 def _worker_main(conn, batch: Sequence[IndexedCell],
-                 attempts: Dict[int, int], cache_dir, faults) -> None:
+                 attempts: Dict[int, int], root, faults) -> None:
     """Worker entry point: run one batch, streaming results back.
 
     Sends ``("cell", index, CellResult)`` after each cell and a final
-    ``("stats", compile, trace, stage, disk)`` message — the parent
-    treats the stats message as the clean-completion marker. With
-    *cache_dir*, the worker's compile/stage cache is additionally
-    backed by the shared on-disk store (writes are atomic, so workers
-    race benignly) and every completed cell is checkpoint-journaled;
-    lowered traces stay worker-local either way.
+    ``("stats", memory, disk)`` message (per-namespace counters of the
+    worker's store and of its disk tier) — the parent treats the stats
+    message as the clean-completion marker. With *root*, the worker's
+    store opens the shared disk tier there (writes are atomic, so
+    workers race benignly): compiled programs, stage artifacts and npz
+    traces persist, and every completed cell is checkpoint-journaled.
     """
-    from repro.runtime.diskcache import make_compile_cache, make_trace_cache
     from repro.runtime.sweep import run_cell_guarded
 
     try:
-        compile_cache = make_compile_cache(cache_dir)
-        # Persistent runs share the compile cache's disk store (and its
-        # degradation state) for the npz trace tier; otherwise traces
-        # stay worker-local in memory.
-        trace_cache = make_trace_cache(
-            store=getattr(compile_cache, "_store", None))
+        compile_cache = CompileCache(root)
+        store = compile_cache.store
+        trace_cache = TraceCache(store)
         for index, cell in batch:
             result = run_cell_guarded(
                 index, cell, compile_cache, trace_cache, faults=faults,
-                attempts=attempts.get(index, 0),
-                journal=compile_cache.journal, in_worker=True)
+                attempts=attempts.get(index, 0), journal=store.disk,
+                in_worker=True)
             conn.send(("cell", index, result))
-        conn.send(("stats", compile_cache.stats, trace_cache.stats,
-                   compile_cache.stages.stats, compile_cache.disk_stats()))
+        conn.send(("stats", store.stats, store.disk_stats()))
     except KeyboardInterrupt:
         pass  # the parent is unwinding and will reap us
     finally:
@@ -121,9 +118,10 @@ class _Supervised:
 
 
 def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
-                cache_dir=None, faults=None, max_retries: int = 2,
+                root=None, faults=None, max_retries: int = 2,
                 batch_timeout: Optional[float] = None
-                ) -> Tuple[list, CacheStats, CacheStats, CacheStats, dict]:
+                ) -> Tuple[list, Dict[str, CacheStats],
+                           Dict[str, CacheStats]]:
     """Run cell batches across *workers* supervised processes.
 
     Args:
@@ -132,9 +130,9 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
             must sit in the same batch for the caches to behave
             deterministically.
         workers: Pool size; capped at the number of batches.
-        cache_dir: Optional persistent compile/stage cache directory
-            each worker opens (see :mod:`repro.runtime.diskcache`);
-            also enables per-cell checkpoint journaling.
+        root: Optional disk-tier directory each worker's store opens
+            (see :mod:`repro.runtime.diskcache`); also enables per-cell
+            checkpoint journaling.
         faults: Optional :class:`~repro.runtime.faults.FaultPlan`
             shipped to every worker (inert unless ``REPRO_FAULTS`` is
             set).
@@ -147,9 +145,9 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
             single cell, or healthy slow cells will be quarantined.
 
     Returns:
-        (flat list of (index, result) pairs, merged compile-cache
-        stats, merged trace-cache stats, merged stage-cache stats,
-        merged per-tier disk-store stats — empty without *cache_dir*).
+        (flat list of (index, result) pairs, merged per-namespace
+        memory-tier stats, merged per-kind disk-tier stats — empty
+        without *root*).
 
     Raises:
         KeyboardInterrupt: re-raised after promptly terminating every
@@ -166,10 +164,8 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
     workers = max(1, min(workers, len(pending)))
     attempts: Dict[int, int] = {}
     completed: Dict[int, "CellResult"] = {}
-    compile_stats = CacheStats()
-    trace_stats = CacheStats()
-    stage_stats = CacheStats()
-    disk_stats: dict = {}
+    stats: Dict[str, CacheStats] = {ns: CacheStats() for ns in NAMESPACES}
+    disk_stats: Dict[str, CacheStats] = {}
     active: List[_Supervised] = []
 
     def launch_available() -> None:
@@ -181,7 +177,7 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
                 args=(child_conn, batch,
                       {index: attempts[index] for index, _ in batch
                        if index in attempts},
-                      cache_dir, faults),
+                      root, faults),
                 daemon=True)
             process.start()
             child_conn.close()
@@ -202,15 +198,11 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
                 completed[index] = result
                 sup.received += 1
             else:  # ("stats", ...) — the clean-completion marker
-                _, cstats, tstats, sstats, dstats = message
-                compile_stats.merge(cstats)
-                trace_stats.merge(tstats)
-                stage_stats.merge(sstats)
-                for kind, stats in dstats.items():
-                    if kind in disk_stats:
-                        disk_stats[kind].merge(stats)
-                    else:
-                        disk_stats[kind] = stats
+                _, memory, disk = message
+                for ns, extra in memory.items():
+                    stats[ns].merge(extra)
+                for kind, extra in disk.items():
+                    disk_stats.setdefault(kind, CacheStats()).merge(extra)
                 sup.completed_ok = True
 
     def reap(sup: _Supervised) -> None:
@@ -294,5 +286,4 @@ def run_batches(batches: Sequence[Sequence[IndexedCell]], workers: int,
             sup.conn.close()
         raise
 
-    return (sorted(completed.items()), compile_stats, trace_stats,
-            stage_stats, disk_stats)
+    return sorted(completed.items()), stats, disk_stats

@@ -84,7 +84,6 @@ from repro.simulator import ExecutionResult, execute
 
 if TYPE_CHECKING:  # runtime import stays lazy: see run_cell
     from repro.mitigation.strategy import MitigatedResult, MitigationStrategy
-    from repro.runtime.diskcache import StoreStats
 
 #: Default shot count per cell — the repo-wide source of truth
 #: (``repro.experiments`` re-exports it). The paper uses 8192 hardware
@@ -366,12 +365,12 @@ class SweepResult:
         trace_stats: Aggregated trace-cache counters.
         stage_stats: Aggregated stage-cache counters (per-pass artifact
             reuse inside whole-program compile misses).
-        disk_stats: Persistent-store counters per tier
-            (``"compile"``/``"stage"`` →
-            :class:`~repro.runtime.diskcache.StoreStats`), populated
-            only when the sweep ran against an on-disk cache
-            (``cache_dir=`` or a persistent ``compile_cache``). Pool
-            workers' counters are merged in.
+        disk_stats: Disk-tier counters of this sweep's traffic per kind
+            (``"compile"``/``"stage"``/``"trace"``/``"cell"`` →
+            :class:`~repro.runtime.cache.CacheStats`), populated only
+            when the sweep ran against a store with a disk tier
+            (``cache_dir=`` or a ``compile_cache`` opened at a root).
+            Pool workers' counters are merged in.
         wall_time: End-to-end sweep seconds.
         workers: Pool size used (0 = in-process serial).
         resumed: Cells served from the checkpoint journal instead of
@@ -382,7 +381,7 @@ class SweepResult:
     compile_stats: CacheStats
     trace_stats: CacheStats
     stage_stats: CacheStats = field(default_factory=CacheStats)
-    disk_stats: Dict[str, "StoreStats"] = field(default_factory=dict)
+    disk_stats: Dict[str, CacheStats] = field(default_factory=dict)
     wall_time: float = 0.0
     workers: int = 0
     resumed: int = 0
@@ -449,8 +448,8 @@ def run_cell(cell: SweepCell, compile_cache: CompileCache,
              trace_cache: TraceCache) -> CellResult:
     """Execute one cell against the given caches.
 
-    Cells carrying a backend see every cache tier through a view
-    scoped by ``Backend.content_id()`` (see
+    Cells carrying a backend see every cache tier with keys prefixed by
+    ``Backend.content_id()`` (see
     :meth:`~repro.runtime.cache.TraceCache.scoped`), so mixed-device
     grids share the cache *objects* without ever sharing entries
     across devices.
@@ -505,7 +504,9 @@ def run_cell_guarded(index: int, cell: SweepCell,
     In-cell exceptions are deterministic (a cell's result is a pure
     function of the cell), so they are never retried. Successful
     results are journaled under the cell's fingerprint when a
-    *journal* is given, before any injected journal corruption fires.
+    *journal* is given (a :class:`~repro.runtime.diskcache.DiskStore`,
+    whose ``cell`` kind holds the checkpoints), before any injected
+    journal corruption fires.
     ``KeyboardInterrupt`` always propagates: completed cells are
     already journaled, which is exactly what ``resume=True`` needs.
     """
@@ -523,7 +524,7 @@ def run_cell_guarded(index: int, cell: SweepCell,
                               cell=cell))
     if journal is not None:
         fingerprint = cell_fingerprint(cell)
-        journal.record(fingerprint, result)
+        journal.store("cell", fingerprint, result)
         if faults is not None:
             faults.after_journal(index, journal, fingerprint)
     return result
@@ -603,15 +604,6 @@ def _partition(cells: Sequence[SweepCell], workers: int,
     return [b for b in batches if b]
 
 
-def _merge_disk_stats(into: Dict[str, "StoreStats"],
-                      extra: Dict[str, "StoreStats"]) -> None:
-    for kind, stats in extra.items():
-        if kind in into:
-            into[kind].merge(stats)
-        else:
-            into[kind] = stats
-
-
 def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
               compile_cache: Optional[CompileCache] = None,
               trace_cache: Optional[TraceCache] = None,
@@ -637,22 +629,25 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
             groups out over that many supervised worker processes
             (worker death and stuck workers are recovered per batch,
             see :mod:`repro.runtime.pool`).
-        compile_cache: Optional shared cache for the in-process path —
-            pass one to accumulate compilations across several sweeps
-            (e.g. chained experiments on the same snapshot). Workers
-            always build their own (in-process object caches don't
-            cross the process boundary), so this applies to the serial
-            path only — except that a persistent cache's journal also
-            serves ``resume``.
-        trace_cache: As above, for lowered traces.
-        cache_dir: Optional directory for a persistent compile/stage
-            cache (:mod:`repro.runtime.diskcache`): compilations
-            survive the process and are shared with other sweeps —
-            including pool workers, which each open the same store.
-            Also enables the checkpoint journal: every completed cell
-            is recorded as it finishes, so a crashed or interrupted
-            sweep can be resumed. Ignored when an explicit
-            ``compile_cache`` is supplied.
+        compile_cache: Optional shared cache — pass one to accumulate
+            compilations across several sweeps (e.g. chained
+            experiments on the same snapshot). Its memory tiers serve
+            the in-process path only: pool workers each open their own
+            :class:`~repro.runtime.cache.Store` at this cache's disk
+            root (if it has one), since in-process objects don't cross
+            the process boundary.
+        trace_cache: Optional shared lowered-trace cache for the
+            in-process path (default: empty memory tier over the
+            compile cache's disk tier).
+        cache_dir: Optional root of the disk tier
+            (:mod:`repro.runtime.diskcache`) when no ``compile_cache``
+            is given: compilations, stage artifacts and lowered traces
+            survive the process and are shared with other sweeps and
+            with pool workers, which open the same root. Also enables
+            the checkpoint journal: every completed cell is recorded as
+            it finishes, so a crashed or interrupted sweep can be
+            resumed. Ignored when an explicit ``compile_cache`` is
+            supplied (on the serial and the pool path alike).
         strict: Restore raise-on-first-error: the serial path
             re-raises the failing cell's exception immediately; the
             parallel path raises
@@ -662,8 +657,8 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
             (content-addressed by :func:`cell_fingerprint`) instead of
             re-executing them — bit-identical by construction, since
             the journal stores the exact result an uninterrupted run
-            would have produced. Requires a persistent store
-            (``cache_dir`` or a persistent ``compile_cache``).
+            would have produced. Requires a disk tier (``cache_dir``
+            or a ``compile_cache`` opened at a root).
         max_retries: Worker-death retries charged per cell before the
             suspect cell is quarantined as failed (parallel path).
         batch_timeout: Soft seconds-without-progress limit per worker;
@@ -700,15 +695,14 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
                            wall_time=time.perf_counter() - start,
                            workers=0)
     if compile_cache is None:
-        from repro.runtime.diskcache import make_compile_cache
-
-        compile_cache = make_compile_cache(cache_dir)
-    journal = compile_cache.journal
-    # Snapshot-and-diff so a reused persistent cache's cumulative disk
-    # counters don't bleed an earlier sweep's traffic into this result.
-    # Taken before the resume lookups, so journal hits are visible in
-    # the sweep's disk stats (the "cell" tier pins resume behavior).
-    disk_before = compile_cache.disk_stats()
+        compile_cache = CompileCache(cache_dir)
+    store = compile_cache.store
+    journal = store.disk
+    # Snapshot-and-diff so a reused store's cumulative disk counters
+    # don't bleed an earlier sweep's traffic into this result. Taken
+    # before the resume lookups, so journal hits are visible in the
+    # sweep's disk stats (the "cell" kind pins resume behavior).
+    disk_before = store.disk_stats()
 
     todo: List[Tuple[int, SweepCell]] = list(enumerate(cells))
     results: List[Optional[CellResult]] = [None] * len(cells)
@@ -717,11 +711,11 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
         if journal is None:
             raise ReproError(
                 "resume=True needs the checkpoint journal, which lives "
-                "in the persistent store: pass cache_dir= (or a "
-                "PersistentCompileCache)")
+                "in the store's disk tier: pass cache_dir= (or a "
+                "CompileCache opened at a root)")
         remaining: List[Tuple[int, SweepCell]] = []
         for index, cell in todo:
-            stored = journal.load(cell_fingerprint(cell))
+            stored = journal.load("cell", cell_fingerprint(cell))
             if stored is not None:
                 results[index] = replace(stored, resumed=True)
                 resumed += 1
@@ -729,10 +723,9 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
                 remaining.append((index, cell))
         todo = remaining
 
-    def diff_disk() -> Dict[str, "StoreStats"]:
-        return {kind: (stats.minus(disk_before[kind])
-                       if kind in disk_before else stats)
-                for kind, stats in compile_cache.disk_stats().items()}
+    def diff_disk() -> Dict[str, CacheStats]:
+        return {kind: stats.minus(disk_before.get(kind, CacheStats()))
+                for kind, stats in store.disk_stats().items()}
 
     def finalize(sweep: SweepResult) -> SweepResult:
         if strict and sweep.failures:
@@ -747,18 +740,18 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
             # point imports this module back (lazily) for run_cell.
             from repro.runtime.pool import run_batches
 
-            indexed, compile_stats, trace_stats, stage_stats, disk_stats = \
-                run_batches(batches, workers, cache_dir=cache_dir,
-                            faults=faults, max_retries=max_retries,
-                            batch_timeout=batch_timeout)
+            indexed, stats, disk_stats = run_batches(
+                batches, workers, root=store.root, faults=faults,
+                max_retries=max_retries, batch_timeout=batch_timeout)
             for index, result in indexed:
                 results[index] = result
             # The parent's own disk traffic (resume journal lookups)
             # joins the workers' merged counters.
-            _merge_disk_stats(disk_stats, diff_disk())
+            for kind, extra in diff_disk().items():
+                disk_stats.setdefault(kind, CacheStats()).merge(extra)
             return finalize(SweepResult(
-                results=results, compile_stats=compile_stats,
-                trace_stats=trace_stats, stage_stats=stage_stats,
+                results=results, compile_stats=stats["compile"],
+                trace_stats=stats["trace"], stage_stats=stats["stage"],
                 disk_stats=disk_stats,
                 wall_time=time.perf_counter() - start,
                 workers=len(batches), resumed=resumed))
@@ -766,12 +759,9 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
         # the in-process path below serves it without fork overhead.
 
     if trace_cache is None:
-        from repro.runtime.diskcache import make_trace_cache
-
-        # Persistent compile caches donate their disk store to the npz
-        # trace tier, so ``cache_dir=`` persists lowered traces too.
-        trace_cache = make_trace_cache(
-            store=getattr(compile_cache, "_store", None))
+        # A fresh memory tier per sweep over the shared disk tier, so
+        # ``cache_dir=`` persists lowered traces too.
+        trace_cache = TraceCache(store.sibling())
     for index, cell in todo:
         results[index] = run_cell_guarded(
             index, cell, compile_cache, trace_cache, faults=faults,
@@ -779,6 +769,6 @@ def run_sweep(cells: Sequence[SweepCell], workers: int = 0,
     return finalize(SweepResult(
         results=results, compile_stats=compile_cache.stats,
         trace_stats=trace_cache.stats,
-        stage_stats=compile_cache.stages.stats, disk_stats=diff_disk(),
+        stage_stats=store.stats["stage"], disk_stats=diff_disk(),
         wall_time=time.perf_counter() - start, workers=0,
         resumed=resumed))

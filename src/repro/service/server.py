@@ -33,7 +33,7 @@ Robustness contract:
   result the uninterrupted run would have produced;
 * persistent-store degradation (disk full) is surfaced to clients as a
   ``degraded`` response flag and re-probed between batches
-  (:meth:`~repro.runtime.CompileCache.redeem`), so a transient outage
+  (:meth:`~repro.runtime.Store.redeem`), so a transient outage
   doesn't pin a long-lived server in memory-only mode.
 
 Connection-level fault injection (``REPRO_FAULTS`` +
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ProtocolError
-from repro.runtime.diskcache import make_compile_cache
+from repro.runtime.cache import CompileCache
 from repro.runtime.sweep import (
     CellFailure,
     CellResult,
@@ -79,7 +79,8 @@ class ServerConfig:
             may listen (see :mod:`repro.service.protocol`).
         port: TCP port; ``0`` lets the OS pick (tests) — the bound
             port is reported by :meth:`ReproServer.start`.
-        cache_dir: Optional persistent compile/stage/journal store.
+        cache_dir: Optional root of the store's disk tier (compiles,
+            stages, traces and the checkpoint journal).
             Strongly recommended for production: it is what makes the
             server restartable (resume from journal) and cross-process
             cache-warm.
@@ -129,7 +130,7 @@ class ReproServer:
         self._faults = faults
         self._admission = AdmissionController(
             capacity=config.queue_capacity, tenant_cap=config.tenant_cap)
-        self._cache = make_compile_cache(config.cache_dir)
+        self._cache = CompileCache(config.cache_dir)
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._executor_thread: Optional[threading.Thread] = None
@@ -225,7 +226,7 @@ class ReproServer:
         """The health report: admission bounds and depths, lifetime
         counters, degradation, and drain state."""
         report = dict(self._admission.snapshot())
-        disk = self._cache.disk_stats()
+        disk = self._cache.store.disk_stats()
         report.update({
             "status": "draining" if self._admission.draining else "ok",
             "uptime": round(time.monotonic() - self._started_at, 3),
@@ -238,7 +239,7 @@ class ReproServer:
             "degraded": self._degraded,
             "redeemed": max((stats.redeemed for stats in disk.values()),
                             default=0),
-            "journal": self._cache.journal is not None,
+            "journal": self._cache.store.disk is not None,
         })
         return report
 
@@ -369,8 +370,7 @@ class ReproServer:
             sweep = run_sweep(
                 cells, workers=self.config.workers,
                 compile_cache=self._cache,
-                cache_dir=self.config.cache_dir,
-                resume=self._cache.journal is not None,
+                resume=self._cache.store.disk is not None,
                 max_retries=self.config.max_retries,
                 batch_timeout=self.config.batch_timeout,
                 faults=self._faults)
@@ -391,8 +391,8 @@ class ReproServer:
                 if result.failure.stage in ("worker", "timeout"):
                     self._quarantined += 1
         self._degraded = any(stats.degraded for stats
-                             in self._cache.disk_stats().values())
-        if self._degraded and self._cache.redeem():
+                             in self._cache.store.disk_stats().values())
+        if self._degraded and self._cache.store.redeem():
             self._degraded = False
         for request, result in zip(batch, results):
             self._admission.complete(request, result)

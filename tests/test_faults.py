@@ -21,9 +21,9 @@ from repro.exceptions import CellExecutionError, FaultInjected, ReproError
 from repro.hardware import default_ibmq16_calibration
 from repro.programs import get_benchmark
 from repro.runtime import (
+    CompileCache,
     DiskStore,
     FaultPlan,
-    PersistentCompileCache,
     SweepCell,
     cell_fingerprint,
     run_sweep,
@@ -228,11 +228,27 @@ class TestCheckpointResume:
         assert_identical(baseline, resumed)
         assert "3 resumed" in resumed.summary()
 
+    @pytest.mark.parametrize("workers, explicit_cache", [
+        (0, False),
+        # A parallel sweep given an explicit cache with a disk tier:
+        # its workers must open that store, or nothing is journaled.
+        (2, True),
+    ])
     def test_resume_of_complete_sweep_executes_nothing(
-            self, cells, baseline, tmp_path):
+            self, cells, baseline, tmp_path, workers, explicit_cache):
         cache_dir = tmp_path / "store"
-        run_sweep(cells, cache_dir=cache_dir)
-        again = run_sweep(cells, cache_dir=cache_dir, resume=True)
+
+        def sweep(**kwargs):
+            if explicit_cache:
+                return run_sweep(cells, workers=workers,
+                                 compile_cache=CompileCache(cache_dir),
+                                 **kwargs)
+            return run_sweep(cells, workers=workers, cache_dir=cache_dir,
+                             **kwargs)
+
+        first = sweep()
+        assert first.disk_stats["compile"].misses > 0
+        again = sweep(resume=True)
         assert again.resumed == len(cells)
         assert again.disk_stats["cell"].hits == len(cells)
         assert again.compile_stats.lookups == 0  # nothing executed
@@ -421,14 +437,14 @@ class TestDiskDegradation:
         stats snapshot the persistent cache hands out."""
         blocker = tmp_path / "store"
         blocker.write_text("occupied")
-        cache = PersistentCompileCache(blocker)
+        store = CompileCache(blocker).store
         with pytest.warns(RuntimeWarning, match="memory-only"):
             for i in range(DEGRADE_AFTER):
-                cache._store.store("compile", f"key-{i}", i)
-        assert not cache.redeem()
+                store.disk.store("compile", f"key-{i}", i)
+        assert not store.redeem()
         blocker.unlink()
-        assert cache.redeem()
-        stats = cache.disk_stats()["compile"]
+        assert store.redeem()
+        stats = store.disk_stats()["compile"]
         assert stats.redeemed == 1 and not stats.degraded
         assert "redeemed x1" in stats.describe()
         # Snapshot diffs carry the state through undiffed — a span
@@ -439,7 +455,7 @@ class TestDiskDegradation:
             self, cal, baseline, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("occupied")
-        cache = PersistentCompileCache(blocker)
+        cache = CompileCache(blocker)
         with pytest.warns(RuntimeWarning, match="memory-only"):
             sweep = run_sweep(make_cells(cal, benchmarks=("BV4",),
                                          seeds=(0,)),

@@ -2,7 +2,7 @@
 
 Covers the three estimator families (ZNE with both amplifiers, readout
 inversion, composition), their integration with the sweep runtime's
-mitigation axis and caches, the persistent on-disk compile/stage cache,
+mitigation axis and caches, the runtime store's disk tier,
 and the acceptance bar: ``repro mitigate --strategy zne`` must improve
 mean success over the unmitigated baseline on >= 3 Table-2 benchmarks
 under the default noise model.
@@ -38,8 +38,7 @@ from repro.mitigation import (
 )
 from repro.programs import get_benchmark
 from repro.programs.random_circuits import random_circuit
-from repro.runtime import PersistentCompileCache, SweepCell, TraceCache, \
-    run_sweep
+from repro.runtime import CompileCache, SweepCell, TraceCache, run_sweep
 from repro.simulator import NoiseModel, StateVector, execute
 
 TRIALS = 256
@@ -509,11 +508,11 @@ class TestDiskCache:
         new process) serves the compilation as a hit."""
         circuit = get_benchmark("BV4").build()
         options = CompilerOptions.r_smt_star()
-        first = PersistentCompileCache(tmp_path)
+        first = CompileCache(tmp_path)
         program, hit = first.get_or_compile(circuit, cal, options)
         assert not hit
 
-        second = PersistentCompileCache(tmp_path)
+        second = CompileCache(tmp_path)
         replayed, hit = second.get_or_compile(circuit, cal, options)
         assert hit
         assert replayed.fingerprint() == program.fingerprint()
@@ -521,16 +520,16 @@ class TestDiskCache:
 
     def test_stage_artifacts_survive_too(self, cal, tmp_path):
         circuit = get_benchmark("BV4").build()
-        first = PersistentCompileCache(tmp_path)
+        first = CompileCache(tmp_path)
         first.get_or_compile(circuit, cal, CompilerOptions.r_smt_star())
 
-        second = PersistentCompileCache(tmp_path)
+        second = CompileCache(tmp_path)
         # A post-mapping variation in a fresh process still reuses the
         # on-disk mapping artifact.
         program, hit = second.get_or_compile(
             circuit, cal, CompilerOptions.r_smt_star().with_(peephole=True))
         assert not hit
-        assert second.stages.stats.hits > 0
+        assert second.store.stats["stage"].hits > 0
         cached_stages = [timing.name for timing in program.pass_timings
                          if timing.cached]
         assert "mapping[r-smt*]" in cached_stages
@@ -540,15 +539,14 @@ class TestDiskCache:
         or a bogus artifact."""
         circuit = get_benchmark("BV4").build()
         options = CompilerOptions.r_smt_star()
-        PersistentCompileCache(tmp_path).get_or_compile(circuit, cal,
-                                                        options)
+        CompileCache(tmp_path).get_or_compile(circuit, cal, options)
         for path in tmp_path.rglob("*"):
             if path.is_file():
                 blob = bytearray(path.read_bytes())
                 blob[len(blob) // 2] ^= 0xFF
                 path.write_bytes(bytes(blob))
 
-        fresh = PersistentCompileCache(tmp_path)
+        fresh = CompileCache(tmp_path)
         program, hit = fresh.get_or_compile(circuit, cal, options)
         assert not hit  # every corrupted entry was rejected
         assert program.physical.circuit.gate_count() > 0

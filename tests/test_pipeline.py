@@ -34,7 +34,7 @@ from repro.compiler import (
 from repro.exceptions import CompilationError
 from repro.hardware import ReliabilityTables, default_ibmq16_calibration
 from repro.programs import build_benchmark
-from repro.runtime import CompileCache, StageCache, SweepCell, run_sweep
+from repro.runtime import CompileCache, SweepCell, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ class TestPipelineEquivalence:
         circuit = build_benchmark("BV4")
         plain = compile_circuit(circuit, cal, options, tables=tables)
         cached = compile_circuit(circuit, cal, options, tables=tables,
-                                 stage_cache=StageCache())
+                                 stage_cache=CompileCache().stages_for())
         assert plain.fingerprint() == cached.fingerprint()
 
     def test_pass_timings_cover_pipeline(self, cal, tables):
@@ -183,7 +183,7 @@ class TestStagePrefixCache:
         assert by_name["mapping[r-smt*]"].cached  # ...shared mapping
         assert not by_name["schedule"].cached
         assert first.placement == second.placement
-        assert cache.stages.stats.hits >= 1
+        assert cache.store.stats["stage"].hits >= 1
 
     @pytest.mark.parametrize("changes", [
         {"routing": "rr"},
@@ -198,7 +198,7 @@ class TestStagePrefixCache:
         base = (CompilerOptions.t_smt_star(routing="1bp")
                 if "routing" in changes else CompilerOptions.t_smt())
         other = base.with_(**changes)
-        stages = StageCache()
+        stages = CompileCache().stages_for()
         compile_circuit(circuit, cal, base, tables=tables,
                         stage_cache=stages)
         shared = compile_circuit(circuit, cal, other, tables=tables,

@@ -32,8 +32,8 @@ from repro.exceptions import (
 from repro.hardware import default_ibmq16_calibration
 from repro.programs import get_benchmark
 from repro.runtime import (
+    DiskStore,
     FaultPlan,
-    PersistentCompileCache,
     SweepCell,
     cell_fingerprint,
     run_sweep,
@@ -693,9 +693,9 @@ class TestServerRestartDrill:
         # The journaled-then-unanswered cell was served from the
         # restarted server's journal, not recomputed.
         assert outcome["stats"]["journal_hits"] >= 1
-        journal = PersistentCompileCache(cache_dir).journal
+        journal = DiskStore(cache_dir)
         for cell in cells:
-            assert journal.load(cell_fingerprint(cell)) is not None
+            assert journal.load("cell", cell_fingerprint(cell)) is not None
 
 
 class TestGracefulDrain:
@@ -748,8 +748,8 @@ class TestGracefulDrain:
         reference = run_sweep([cells[0]])
         assert outcome["result"].execution.counts == \
             reference.results[0].execution.counts
-        journal = PersistentCompileCache(cache_dir).journal
-        assert journal.load(cell_fingerprint(cells[0])) is not None
+        journal = DiskStore(cache_dir)
+        assert journal.load("cell", cell_fingerprint(cells[0])) is not None
 
 
 def _src_path() -> str:
