@@ -150,8 +150,9 @@ class Store:
         The memory tier answers first; on a miss the disk tier is read
         and a found value is promoted into memory. A disk-served compile
         or stage entry counts as a hit (the work was avoided); a
-        disk-served trace counts as a miss, since trace counters have
-        always described the memory tier alone.
+        disk-served trace counts as a miss, because the trace counters
+        describe the memory tier alone (the disk tier keeps its own, and
+        the pinned trace hit rates are defined on these).
         """
         memory = self.memory[namespace]
         value = memory.get(key)
@@ -203,9 +204,15 @@ class Store:
         self.disk.store_blob(namespace, repr(key), buf.getvalue())
 
     def disk_stats(self) -> Dict[str, CacheStats]:
-        """Per-kind disk-tier counters as a snapshot (empty without a
-        disk tier); see :meth:`DiskStore.snapshot`."""
-        return {} if self.disk is None else self.disk.snapshot()
+        """Copies of the disk tier's per-kind counters with its current
+        ``degraded``/``redeemed`` state stamped on (empty without a disk
+        tier). Callers reporting a bounded span (one sweep) diff two
+        snapshots with :meth:`CacheStats.minus`."""
+        if self.disk is None:
+            return {}
+        return {kind: replace(stats, degraded=self.disk.degraded,
+                              redeemed=self.disk.redemptions)
+                for kind, stats in self.disk.stats.items()}
 
     def redeem(self) -> bool:
         """Probe a degraded disk tier back to persistent mode (see

@@ -40,7 +40,7 @@ import os
 import pickle
 import tempfile
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -202,15 +202,6 @@ class DiskStore:
         """
         digest = hashlib.sha256(key.encode()).hexdigest()
         return self.root / _layout() / kind / digest[:2] / digest
-
-    def snapshot(self) -> Dict[str, CacheStats]:
-        """Copies of the per-kind counters with the store's current
-        ``degraded``/``redeemed`` state stamped on. Callers reporting a
-        bounded span (one sweep) diff two snapshots with
-        :meth:`CacheStats.minus`."""
-        return {kind: replace(stats, degraded=self.degraded,
-                              redeemed=self.redemptions)
-                for kind, stats in self.stats.items()}
 
     def _note_write_failure(self, kind: str) -> None:
         """Account a failed publish; repeatedly failing writes flip
