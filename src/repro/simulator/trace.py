@@ -132,6 +132,9 @@ class ProgramTrace:
             1.0 (a uniform draw lands left of the padding).
         site_events: per site, a tuple of choices; each choice is a
             tuple of :data:`DenseEvent` to apply after the gate.
+        site_pair: ``(S, 2)`` dense qubits each site's choices act on;
+            the second is -1 for one-qubit sites (idle windows and
+            one-qubit gates), whose choices are X, Y, Z on the first.
     """
 
     def __init__(self, compact: CompactProgram, noise: NoiseModel) -> None:
@@ -151,6 +154,7 @@ class ProgramTrace:
         site_gate: List[int] = []
         site_prob: List[float] = []
         cum_rows: List[np.ndarray] = []
+        site_pair: List[Tuple[int, int]] = []
         self.site_events: List[Tuple[Tuple[DenseEvent, ...], ...]] = []
         for i, (gate, gaps) in enumerate(zip(compact.gates,
                                              compact.idle_before)):
@@ -161,6 +165,7 @@ class ProgramTrace:
                 dense = compact.hw_to_dense[qubit]
                 site_gate.append(i)
                 site_prob.append(rates.total)
+                site_pair.append((dense, -1))
                 cum_rows.append(np.array(
                     [rates.p_x, rates.p_x + rates.p_y]) / rates.total)
                 self.site_events.append(
@@ -182,16 +187,20 @@ class ProgramTrace:
                         events.append((db, pb))
                     choices.append(tuple(events))
                 self.site_events.append(tuple(choices))
+                site_pair.append((da, db))
                 cum_rows.append(np.arange(1, len(_PAULIS_2Q))
                                 / float(len(_PAULIS_2Q)))
             else:
                 dense = compact.hw_to_dense[gate.qubits[0]]
                 self.site_events.append(
                     tuple(((dense, p),) for p in _PAULIS_1Q))
+                site_pair.append((dense, -1))
                 cum_rows.append(np.array([1.0, 2.0]) / 3.0)
         self.n_sites = len(site_gate)
         self.site_gate = np.asarray(site_gate, dtype=np.int64)
         self.site_prob = np.asarray(site_prob, dtype=np.float64)
+        self.site_pair = np.asarray(site_pair, dtype=np.int64).reshape(
+            self.n_sites, 2)
         max_bounds = len(_PAULIS_2Q) - 1
         self.site_cum = np.ones((self.n_sites, max_bounds), dtype=np.float64)
         for s, row in enumerate(cum_rows):
@@ -252,16 +261,6 @@ class ProgramTrace:
         gate_qubits = np.full((len(gates), arity), -1, dtype=np.int64)
         for i, g in enumerate(gates):
             gate_qubits[i, :len(g.qubits)] = g.qubits
-        site_pair = np.full((self.n_sites, 2), -1, dtype=np.int64)
-        for s, choices in enumerate(self.site_events):
-            # Single-qubit sites carry 3 one-event choices on one dense
-            # qubit; two-qubit sites the 15 non-identity Pauli pairs,
-            # the last of which is (da, "z"), (db, "z").
-            if len(choices) == len(_PAULIS_1Q):
-                site_pair[s, 0] = choices[0][0][0]
-            else:
-                site_pair[s, 0] = choices[-1][0][0]
-                site_pair[s, 1] = choices[-1][1][0]
         # The physical register size is not retained by CompactProgram
         # (it keeps only used qubits); any size covering the gate
         # indices rebuilds an equivalent compact program.
@@ -284,7 +283,7 @@ class ProgramTrace:
             "site_gate": self.site_gate,
             "site_prob": self.site_prob,
             "site_cum": self.site_cum,
-            "site_pair": site_pair,
+            "site_pair": self.site_pair,
             "readout_p0": self.readout_p0,
             "readout_p1": self.readout_p1,
         }
@@ -341,8 +340,9 @@ class ProgramTrace:
         trace.site_prob = np.asarray(data["site_prob"], dtype=np.float64)
         trace.site_cum = np.asarray(data["site_cum"], dtype=np.float64)
         trace.n_sites = len(trace.site_gate)
+        trace.site_pair = np.asarray(data["site_pair"], dtype=np.int64)
         site_events: List[Tuple[Tuple[DenseEvent, ...], ...]] = []
-        for da, db in data["site_pair"]:
+        for da, db in trace.site_pair:
             da = int(da)
             if db < 0:
                 site_events.append(

@@ -7,8 +7,10 @@ registry value, mirroring the engine/backend registries:
 
 * :class:`ArrayBackend` exposes exactly the small op surface the
   batched pass uses — ``zeros``, ``tensordot``, ``reshape``/
-  ``moveaxis``, row/column gather-scatter, the |amplitude|^2 reduce,
-  and host transfer (``asarray``/``to_numpy``) — plus a
+  ``moveaxis``, row/column gather-scatter, the per-row signed
+  permutation that injects Pauli errors (``signed_permute``), the
+  |amplitude|^2 reduce, and host transfer (``asarray``/``to_numpy``) —
+  plus a
   *device-memory-aware* :meth:`~ArrayBackend.amplitude_budget` that
   replaces the fixed chunk constant (64 MiB of complex128 on host
   backends, a fraction of free device memory on CUDA ones, with a
@@ -155,6 +157,19 @@ class ArrayBackend:
 
     def put_rows(self, a, rows: np.ndarray, values) -> None:
         """Scatter ``a[rows] = values``."""
+        raise NotImplementedError
+
+    def signed_permute(self, a, axis: int, swap: np.ndarray,
+                       phases: np.ndarray):
+        """A per-row signed permutation of the two slices along *axis*.
+
+        Row *r* of the result holds ``a[r]`` with its two slices along
+        *axis* exchanged where ``swap[r]``, then slice *k* multiplied by
+        ``phases[r, k]``. *swap* is a host ``(rows,)`` bool array and
+        *phases* a host ``(rows, 2)`` complex128 array whose entries are
+        ±1 or ±i, so every output value is an input value exactly (the
+        batched pass injects Pauli errors this way).
+        """
         raise NotImplementedError
 
     def pattern_reduce(self, state, order: np.ndarray,
@@ -408,6 +423,14 @@ class NumpyBackend(ArrayBackend):
     def put_rows(self, a, rows, values):
         a[rows] = values
 
+    def signed_permute(self, a, axis, swap, phases):
+        shape = [a.shape[0]] + [1] * (a.ndim - 1)
+        flipped = a[(slice(None),) * axis + (slice(None, None, -1),)]
+        out = np.where(swap.reshape(shape), flipped, a)
+        shape[axis] = 2
+        out *= phases.reshape(shape)
+        return out
+
     def pattern_reduce(self, state, order, n_patterns):
         probs = np.abs(state.reshape(state.shape[0], -1)) ** 2
         return probs[:, order].reshape(
@@ -474,6 +497,14 @@ class TorchBackend(ArrayBackend):
     def put_rows(self, a, rows, values):
         a[self._torch.from_numpy(rows).to(self._device)] = values
 
+    def signed_permute(self, a, axis, swap, phases):
+        shape = [a.shape[0]] + [1] * (a.ndim - 1)
+        swap = self._torch.from_numpy(swap).to(self._device)
+        out = self._torch.where(swap.reshape(shape), a.flip(axis), a)
+        shape[axis] = 2
+        phases = self._torch.from_numpy(phases).to(self._device)
+        return out * phases.reshape(shape)
+
     def pattern_reduce(self, state, order, n_patterns):
         probs = self._torch.abs(state.reshape(state.shape[0], -1)) ** 2
         gathered = probs[:, self._torch.from_numpy(order).to(self._device)]
@@ -528,6 +559,15 @@ class CupyBackend(ArrayBackend):
 
     def put_rows(self, a, rows, values):
         a[self._cp.asarray(rows)] = values
+
+    def signed_permute(self, a, axis, swap, phases):
+        shape = [a.shape[0]] + [1] * (a.ndim - 1)
+        flipped = a[(slice(None),) * axis + (slice(None, None, -1),)]
+        out = self._cp.where(self._cp.asarray(swap).reshape(shape),
+                             flipped, a)
+        shape[axis] = 2
+        out *= self._cp.asarray(phases).reshape(shape)
+        return out
 
     def pattern_reduce(self, state, order, n_patterns):
         probs = self._cp.abs(state.reshape(state.shape[0], -1)) ** 2

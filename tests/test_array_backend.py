@@ -26,7 +26,7 @@ from repro.simulator import (
 )
 from repro.simulator.batch import (
     batch_plan_probabilities,
-    plan_events,
+    event_table,
     run_batched,
 )
 from repro.simulator import xp
@@ -70,18 +70,14 @@ def bv4_trace(cal, programs):
 
 
 def sample_plans(trace, n_plans=10, seed=9):
-    """A reproducible batch of non-trivial error plans for *trace*."""
+    """A reproducible event table of non-trivial error plans."""
     rng = np.random.default_rng(seed)
     occurred = rng.random((256, trace.n_sites)) < trace.site_prob
-    plans = []
-    for row in np.nonzero(occurred.any(axis=1))[0]:
-        sites = np.nonzero(occurred[row])[0]
-        choices = np.zeros(sites.size, dtype=np.int64)
-        plans.append(plan_events(trace, sites, choices))
-        if len(plans) == n_plans:
-            break
-    assert len(plans) == n_plans
-    return plans
+    noisy = np.nonzero(occurred.any(axis=1))[0][:n_plans]
+    assert noisy.size == n_plans
+    plan, sites = np.nonzero(occurred[noisy])
+    choices = np.zeros(sites.size, dtype=np.int64)
+    return event_table(trace, plan, sites, choices, n_plans)
 
 
 class TestRegistry:

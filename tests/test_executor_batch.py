@@ -22,8 +22,10 @@ from repro.simulator import (
     execute,
     total_variation_distance,
 )
-from repro.simulator.batch import batch_plan_probabilities, plan_events
+from repro.simulator.batch import batch_plan_probabilities, event_table
 from repro.simulator.executor import _run_state
+
+from batch_oracle import plan_events
 
 TRIALS = 4096
 BENCHMARKS = ["BV4", "Toffoli", "HS2"]
@@ -120,14 +122,17 @@ class TestPlanDedup:
 
     def test_batched_plans_match_single_plan_simulation(self, trace):
         rng = np.random.default_rng(3)
-        plans = []
-        for _ in range(6):
+        plans, triples = [], []
+        for p in range(6):
             k = int(rng.integers(1, 4))
             sites = np.sort(rng.choice(trace.n_sites, size=k, replace=False))
             choices = np.array([
                 rng.integers(len(trace.site_events[s])) for s in sites])
             plans.append(plan_events(trace, sites, choices))
-        batched = batch_plan_probabilities(trace, plans)
+            triples.extend((p, s, c) for s, c in zip(sites, choices))
+        plan_of, site, choice = np.array(triples).T
+        batched = batch_plan_probabilities(
+            trace, event_table(trace, plan_of, site, choice, len(plans)))
         for row, plan in enumerate(plans):
             single = trace.plan_probabilities(plan)
             assert np.allclose(batched[row], single)
@@ -149,10 +154,9 @@ class TestPlanDedup:
         assert np.allclose(trace.plan_probabilities(plan), legacy_pattern)
 
     def test_duplicate_plans_share_one_distribution(self, trace):
-        sites = np.array([0])
-        choices = np.array([0])
-        plan = plan_events(trace, sites, choices)
-        batched = batch_plan_probabilities(trace, [plan, plan, plan])
+        table = event_table(trace, plan=[0, 1, 2], site=[0, 0, 0],
+                            choice=[0, 0, 0], n_plans=3)
+        batched = batch_plan_probabilities(trace, table)
         assert np.allclose(batched[0], batched[1])
         assert np.allclose(batched[1], batched[2])
 
