@@ -14,14 +14,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.simulator.batch import (
-    _apply_1q,
-    _apply_2q,
-    _apply_readout_flips,
-    resolve_array_backend,
-)
+from repro.simulator.batch import _apply_1q, _apply_2q, _apply_readout_flips
 from repro.simulator.statevector import cached_unitary
 from repro.simulator.trace import DenseEvent, ProgramTrace
+from repro.simulator.xp import resolve_array_backend
 
 Plan = Dict[int, List[DenseEvent]]
 
