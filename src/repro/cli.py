@@ -187,7 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "this many MiB of complex128 (sets "
                             "REPRO_CHUNK_MIB; default: 64 MiB on host "
                             "backends, a fraction of free device memory "
-                            "on CUDA). Results are chunk-invariant")
+                            "on CUDA). Results are identical across "
+                            "chunk sizes on BV4 (pinned by the tests); "
+                            "elsewhere BLAS may round per batch shape, "
+                            "so a probability can differ in its last "
+                            "bit and a count, rarely, with it")
 
     run_p = sub.add_parser("run", help="compile and simulate")
     add_machine_args(run_p)
@@ -380,8 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 16)")
     serve_p.add_argument("--batch-window", type=_positive_float,
                          default=0.05, metavar="SECONDS",
-                         help="burst-coalescing window per executor "
-                              "batch (default: 0.05)")
+                         help="with --workers >= 2, how long the "
+                              "executor gathers a burst of submits into "
+                              "one pool batch (default: 0.05); the "
+                              "in-process executor runs what is queued "
+                              "at once")
     serve_p.add_argument("--batch-max", type=_positive_int, default=32,
                          help="max distinct cells per executor batch "
                               "(default: 32)")
@@ -744,7 +751,9 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
                       "capacity", "tenant_cap", "served", "resumed",
                       "failed", "quarantined", "coalesced", "shed",
                       "degraded", "redeemed", "journal", "workers",
-                      "batches"):
+                      "batches", "compile_hits", "compile_misses",
+                      "stage_hits", "stage_misses", "trace_hits",
+                      "trace_misses"):
             out.write(f"{field}: {report.get(field)}\n")
         return 0 if report.get("status") in ("ok", "draining") else 1
     config = ServerConfig(

@@ -29,7 +29,7 @@ from repro.ir.circuit import Circuit
 from repro.ir.dag import DependencyDAG
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduledGate:
     """One scheduled program gate.
 

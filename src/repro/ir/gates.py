@@ -36,7 +36,7 @@ ALL_OPERATIONS = SINGLE_QUBIT_GATES | TWO_QUBIT_GATES | NON_UNITARY_OPS
 RANDOM_BENCHMARK_GATE_SET = ("h", "x", "y", "z", "s", "t", "cx")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One operation in a quantum program.
 

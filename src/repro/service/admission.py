@@ -160,25 +160,29 @@ class AdmissionController:
 
     # ---------------------------------------------------------- executor
 
-    def take_batch(self, max_batch: int,
-                   timeout: Optional[float] = None) -> List[Request]:
+    def take_batch(self, max_batch: int, timeout: Optional[float] = None,
+                   gather: bool = True) -> List[Request]:
         """Dequeue up to *max_batch* distinct requests for execution.
 
-        Blocks up to *timeout* seconds for the first request, then
-        keeps gathering until the batch is full or another *timeout*
-        window passes — a burst of concurrent submits (N clients, one
-        grid) lands in one ``run_sweep`` call instead of N serial
-        single-cell batches, which is what buys the pool path and the
-        coalescing throughput. Taken requests stay in ``entries`` (they
-        are in flight: late duplicates must still coalesce) until
-        :meth:`complete`.
+        Blocks up to *timeout* seconds for the first request (returning
+        ``[]`` if none comes, or at once when draining with nothing
+        queued). With *gather*, it then keeps gathering until the batch
+        is full or another *timeout* window passes — a burst of
+        concurrent submits (N clients, one grid) lands in one
+        ``run_sweep`` call a process pool can spread out. Without it,
+        whatever is queued is taken at once: an executor that runs a
+        batch serially gains nothing from waiting, and a backlog still
+        forms bigger batches on its own. Taken requests stay in
+        ``entries`` (they are in flight: late duplicates must still
+        coalesce) until :meth:`complete`.
         """
         with self._lock:
             if not self._queue:
-                self._available.wait(timeout)
+                if not self._draining:
+                    self._available.wait(timeout)
                 if not self._queue:
                     return []
-            if timeout:
+            if gather and timeout:
                 gather_until = time.monotonic() + timeout
                 while len(self._queue) < max_batch:
                     remaining = gather_until - time.monotonic()

@@ -12,10 +12,16 @@ Thread model — deliberately boring, because boring survives chaos:
 * one **accept** thread hands each connection to a dedicated handler
   thread (clients block on their own submits; slow clients slow only
   themselves);
-* one **executor** thread drains the admission queue in batches
-  (``batch_window`` of latency buys burst coalescing into one
-  ``run_sweep`` call) — all compile/trace caches are touched by this
-  thread only, so the cache layer needs no locking;
+* one **executor** thread drains the admission queue in batches, one
+  ``run_sweep`` call each. With a process pool (``workers >= 2``) it
+  waits up to ``batch_window`` to gather a burst into one batch the
+  pool can spread out; in process it takes whatever is queued as soon
+  as it is free, since it runs a batch serially and waiting would only
+  add latency (a backlog still makes bigger batches). The server's one
+  :class:`~repro.runtime.Store` (compile, stage and trace namespaces)
+  lives as long as the server, so a program lowered once is a trace
+  hit in every later batch; this thread alone touches it, so the cache
+  layer needs no locking;
 * the **admission controller** is the only cross-thread state, and it
   is fully lock-guarded.
 
@@ -52,7 +58,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ProtocolError
-from repro.runtime.cache import CompileCache
+from repro.runtime.cache import NAMESPACES, CompileCache, TraceCache
 from repro.runtime.sweep import (
     CellFailure,
     CellResult,
@@ -90,8 +96,11 @@ class ServerConfig:
         queue_capacity: Bound on *distinct* queued cells; beyond it
             submits are shed with ``Retry-After``.
         tenant_cap: Per-tenant outstanding-request cap.
-        batch_window: Seconds the executor waits to batch a burst of
-            submits into one ``run_sweep`` call.
+        batch_window: Pool path (``workers >= 2``): seconds the
+            executor waits after the first request to gather a burst
+            of submits into one ``run_sweep`` call. The in-process
+            executor does not gather: it takes what is queued at once
+            and uses this only as the poll interval of its idle wait.
         batch_max: Max distinct cells per executor batch.
         max_retries: Worker-death retries per cell (pool path).
         batch_timeout: Watchdog seconds-without-progress per worker
@@ -131,6 +140,7 @@ class ReproServer:
         self._admission = AdmissionController(
             capacity=config.queue_capacity, tenant_cap=config.tenant_cap)
         self._cache = CompileCache(config.cache_dir)
+        self._traces = TraceCache(self._cache.store)
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._executor_thread: Optional[threading.Thread] = None
@@ -224,9 +234,16 @@ class ReproServer:
 
     def health(self) -> dict:
         """The health report: admission bounds and depths, lifetime
-        counters, degradation, and drain state."""
+        counters, degradation, and drain state.
+
+        ``<ns>_hits``/``<ns>_misses`` count the lookups of the server's
+        store per namespace (``compile``, ``stage``, ``trace``) over
+        its lifetime; pool workers (``workers >= 2``) keep stores of
+        their own, which these do not include.
+        """
         report = dict(self._admission.snapshot())
-        disk = self._cache.store.disk_stats()
+        store = self._cache.store
+        disk = store.disk_stats()
         report.update({
             "status": "draining" if self._admission.draining else "ok",
             "uptime": round(time.monotonic() - self._started_at, 3),
@@ -239,8 +256,12 @@ class ReproServer:
             "degraded": self._degraded,
             "redeemed": max((stats.redeemed for stats in disk.values()),
                             default=0),
-            "journal": self._cache.store.disk is not None,
+            "journal": store.disk is not None,
         })
+        for namespace in NAMESPACES:
+            stats = store.stats[namespace]
+            report[f"{namespace}_hits"] = stats.hits
+            report[f"{namespace}_misses"] = stats.misses
         return report
 
     # ------------------------------------------------------------ intake
@@ -351,9 +372,11 @@ class ReproServer:
     # ---------------------------------------------------------- executor
 
     def _executor_loop(self) -> None:
+        gather = self.config.workers >= 2
         while True:
             batch = self._admission.take_batch(
-                self.config.batch_max, timeout=self.config.batch_window)
+                self.config.batch_max, timeout=self.config.batch_window,
+                gather=gather)
             if not batch:
                 if self._admission.draining and \
                         self._admission.pending() == 0:
@@ -369,7 +392,7 @@ class ReproServer:
         try:
             sweep = run_sweep(
                 cells, workers=self.config.workers,
-                compile_cache=self._cache,
+                compile_cache=self._cache, trace_cache=self._traces,
                 resume=self._cache.store.disk is not None,
                 max_retries=self.config.max_retries,
                 batch_timeout=self.config.batch_timeout,

@@ -131,7 +131,8 @@ class ProgramTrace:
             site's conditional Pauli-choice distribution, padded with
             1.0 (a uniform draw lands left of the padding).
         site_events: per site, a tuple of choices; each choice is a
-            tuple of :data:`DenseEvent` to apply after the gate.
+            tuple of :data:`DenseEvent` to apply after the gate
+            (derived from ``site_pair`` on first use).
         site_pair: ``(S, 2)`` dense qubits each site's choices act on;
             the second is -1 for one-qubit sites (idle windows and
             one-qubit gates), whose choices are X, Y, Z on the first.
@@ -155,7 +156,6 @@ class ProgramTrace:
         site_prob: List[float] = []
         cum_rows: List[np.ndarray] = []
         site_pair: List[Tuple[int, int]] = []
-        self.site_events: List[Tuple[Tuple[DenseEvent, ...], ...]] = []
         for i, (gate, gaps) in enumerate(zip(compact.gates,
                                              compact.idle_before)):
             for qubit, idle in gaps:
@@ -168,8 +168,6 @@ class ProgramTrace:
                 site_pair.append((dense, -1))
                 cum_rows.append(np.array(
                     [rates.p_x, rates.p_x + rates.p_y]) / rates.total)
-                self.site_events.append(
-                    tuple(((dense, p),) for p in _PAULIS_1Q))
             p = noise.gate_error_probability(
                 gate, concurrent_neighbors=compact.concurrent_neighbors[i])
             if p <= 0.0:
@@ -177,24 +175,12 @@ class ProgramTrace:
             site_gate.append(i)
             site_prob.append(p)
             if gate.is_two_qubit:
-                da, db = (compact.hw_to_dense[q] for q in gate.qubits)
-                choices = []
-                for pa, pb in _PAULIS_2Q:
-                    events = []
-                    if pa != "i":
-                        events.append((da, pa))
-                    if pb != "i":
-                        events.append((db, pb))
-                    choices.append(tuple(events))
-                self.site_events.append(tuple(choices))
-                site_pair.append((da, db))
+                site_pair.append(tuple(compact.hw_to_dense[q]
+                                       for q in gate.qubits))
                 cum_rows.append(np.arange(1, len(_PAULIS_2Q))
                                 / float(len(_PAULIS_2Q)))
             else:
-                dense = compact.hw_to_dense[gate.qubits[0]]
-                self.site_events.append(
-                    tuple(((dense, p),) for p in _PAULIS_1Q))
-                site_pair.append((dense, -1))
+                site_pair.append((compact.hw_to_dense[gate.qubits[0]], -1))
                 cum_rows.append(np.array([1.0, 2.0]) / 3.0)
         self.n_sites = len(site_gate)
         self.site_gate = np.asarray(site_gate, dtype=np.int64)
@@ -237,6 +223,25 @@ class ProgramTrace:
             self.measures_for_cbit[slot].append(m)
         self.last_measure_for_cbit = [ms[-1]
                                       for ms in self.measures_for_cbit]
+
+    @cached_property
+    def site_events(self) -> List[Tuple[Tuple[DenseEvent, ...], ...]]:
+        """Per site, its Pauli choices as :data:`DenseEvent` tuples.
+
+        Derived from ``site_pair`` on first use: the batched engine
+        injects from ``site_pair`` and never builds this, and only the
+        stabilizer lowering and the reference kernels read it.
+        """
+        site_events = []
+        for da, db in self.site_pair.tolist():
+            if db < 0:
+                site_events.append(tuple(((da, p),) for p in _PAULIS_1Q))
+            else:
+                site_events.append(tuple(
+                    tuple((q, p) for q, p in ((da, pa), (db, pb))
+                          if p != "i")
+                    for pa, pb in _PAULIS_2Q))
+        return site_events
 
     # ------------------------------------------------------------------
     # Compact serialization (the sweep runtime's disk trace tier).
@@ -341,24 +346,6 @@ class ProgramTrace:
         trace.site_cum = np.asarray(data["site_cum"], dtype=np.float64)
         trace.n_sites = len(trace.site_gate)
         trace.site_pair = np.asarray(data["site_pair"], dtype=np.int64)
-        site_events: List[Tuple[Tuple[DenseEvent, ...], ...]] = []
-        for da, db in trace.site_pair:
-            da = int(da)
-            if db < 0:
-                site_events.append(
-                    tuple(((da, p),) for p in _PAULIS_1Q))
-            else:
-                db = int(db)
-                choices = []
-                for pa, pb in _PAULIS_2Q:
-                    events = []
-                    if pa != "i":
-                        events.append((da, pa))
-                    if pb != "i":
-                        events.append((db, pb))
-                    choices.append(tuple(events))
-                site_events.append(tuple(choices))
-        trace.site_events = site_events
         trace._index_cbits()
         trace.readout_p0 = np.asarray(data["readout_p0"],
                                       dtype=np.float64)

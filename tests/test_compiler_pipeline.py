@@ -156,6 +156,24 @@ class TestPhysicalProgram:
                 assert s2 >= f1 - 1e-6
 
 
+class TestPickleRoundTrip:
+    def test_round_trip_keeps_fingerprints(self, cal, tables):
+        """The service and the disk tier pickle compiled programs; the
+        slotted gates must come back with the same content hashes."""
+        import pickle
+
+        program = compile_circuit(build_benchmark("Toffoli"), cal,
+                                  CompilerOptions.qiskit(), tables=tables)
+        fingerprint = program.fingerprint()
+        back = pickle.loads(pickle.dumps(program))
+        vars(back).pop("_fingerprint", None)  # recompute, not replay
+        assert back.fingerprint() == fingerprint
+        assert back.physical.circuit.fingerprint() == \
+            program.physical.circuit.fingerprint()
+        assert back.logical.fingerprint() == program.logical.fingerprint()
+        assert back.schedule.gates == program.schedule.gates
+
+
 class TestQasmOutput:
     def test_qasm_parses_back(self, cal, tables):
         program = compile_circuit(build_benchmark("BV4"), cal,

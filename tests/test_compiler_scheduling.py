@@ -124,6 +124,12 @@ class TestListScheduler:
         assert schedule.makespan == pytest.approx(
             max(g.finish for g in schedule.gates))
 
+    def test_scheduled_gates_are_slotted(self, cal, tables):
+        schedule = self.schedule(build_benchmark("BV4"),
+                                 {0: 1, 1: 9, 2: 11, 3: 10}, cal, tables)
+        assert schedule.gates
+        assert not any(hasattr(g, "__dict__") for g in schedule.gates)
+
     def test_swap_count_zero_for_adjacent_placement(self, cal, tables):
         circuit = Circuit(2).cx(0, 1)
         schedule = self.schedule(circuit, {0: 0, 1: 1}, cal, tables)

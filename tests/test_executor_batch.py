@@ -22,7 +22,11 @@ from repro.simulator import (
     execute,
     total_variation_distance,
 )
-from repro.simulator.batch import batch_plan_probabilities, event_table
+from repro.simulator.batch import (
+    batch_plan_probabilities,
+    event_table,
+    run_batched,
+)
 from repro.simulator.executor import _run_state
 
 from batch_oracle import plan_events
@@ -152,6 +156,19 @@ class TestPlanDedup:
             trace.basis_codes, weights=probs,
             minlength=1 << trace.n_measures)
         assert np.allclose(trace.plan_probabilities(plan), legacy_pattern)
+
+    def test_sampling_does_not_build_site_events(self, cal, programs):
+        """``site_events`` is derived on demand; the batched engine
+        injects from ``site_pair`` and never materializes it."""
+        compiled = programs["Toffoli"]
+        compact = CompactProgram(compiled.physical.circuit,
+                                 compiled.physical.times,
+                                 topology=cal.topology)
+        trace = ProgramTrace(compact, NoiseModel(cal))
+        run_batched(trace, 256, np.random.default_rng(5))
+        assert "site_events" not in vars(trace)
+        assert len(trace.site_events) == trace.n_sites
+        assert "site_events" in vars(trace)
 
     def test_duplicate_plans_share_one_distribution(self, trace):
         table = event_table(trace, plan=[0, 1, 2], site=[0, 0, 0],

@@ -82,6 +82,25 @@ class TestGateConstruction:
         assert len({Gate("h", (0,)), Gate("h", (0,))}) == 1
 
 
+class TestGateLayout:
+    def test_gates_are_slotted(self):
+        """Compiled programs hold hundreds of gates: no per-instance
+        ``__dict__``."""
+        gate = Gate("rz", (3,), param=0.5)
+        assert not hasattr(gate, "__dict__")
+        with pytest.raises(AttributeError):
+            gate.name = "x"
+
+    def test_pickle_round_trip_keeps_fields(self):
+        import pickle
+
+        for gate in (Gate("h", (0,)), Gate("cx", (2, 5)),
+                     Gate("rz", (1,), param=-0.25),
+                     Gate("measure", (4,), cbit=2)):
+            back = pickle.loads(pickle.dumps(gate))
+            assert back == gate and hash(back) == hash(gate)
+
+
 class TestRemap:
     def test_remap_with_dict(self):
         g = Gate("cx", (0, 1)).remap({0: 5, 1: 9})

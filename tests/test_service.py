@@ -287,6 +287,33 @@ class TestAdmission:
         assert late.kind == "coalesce"
         assert late.request is first.request
 
+    def test_take_batch_without_gather_returns_queued_at_once(self):
+        controller = AdmissionController(capacity=10)
+        for i in range(3):
+            controller.offer(f"fp-{i}", object(), "t")
+        started = time.monotonic()
+        batch = controller.take_batch(8, timeout=5.0, gather=False)
+        assert time.monotonic() - started < 1.0
+        assert [r.fingerprint for r in batch] == ["fp-0", "fp-1", "fp-2"]
+        assert controller.depth() == 0
+
+    def test_take_batch_without_gather_still_blocks_when_idle(self):
+        """The idle executor waits out its poll timeout, neither
+        spinning nor returning early."""
+        controller = AdmissionController(capacity=10)
+        started = time.monotonic()
+        assert controller.take_batch(8, timeout=0.3, gather=False) == []
+        assert time.monotonic() - started >= 0.25
+
+    def test_draining_idle_take_batch_returns_at_once(self):
+        """A drain that lands while the executor is busy must not cost
+        a poll timeout when it comes back to an empty queue."""
+        controller = AdmissionController(capacity=10)
+        controller.drain()
+        started = time.monotonic()
+        assert controller.take_batch(8, timeout=5.0) == []
+        assert time.monotonic() - started < 1.0
+
     def test_take_batch_honors_max_batch(self):
         controller = AdmissionController(capacity=10)
         for i in range(5):
@@ -350,6 +377,35 @@ class TestServedSweep:
         assert outcome["a"] == outcome["b"]
         ref = {r.key: r for r in baseline}[cell.key]
         assert outcome["a"].execution.counts == ref.execution.counts
+
+    def test_in_process_executor_does_not_wait_for_the_window(self, cal):
+        """With workers=0 a batch runs serially, so the executor takes
+        each submit at once: a lone client never pays batch_window."""
+        cells = make_cells(cal, seeds=(0,))
+        reference = run_sweep(cells)
+        with running_server(workers=0, batch_window=5.0) as \
+                (server, host, port):
+            started = time.monotonic()
+            with ServiceClient(host, port) as client:
+                results = client.submit_many(cells, deadline=60.0)
+            elapsed = time.monotonic() - started
+            health = server.health()
+        assert elapsed < 2.5, f"3 sequential cells took {elapsed:.2f} s"
+        assert health["batches"] == 3
+        assert_matches_reference(reference, results)
+
+    def test_server_keeps_one_trace_tier(self, cells, baseline):
+        """Each program is lowered once for the server's lifetime: a
+        later cell of the same program is a trace hit, even in another
+        batch (one cell per batch here)."""
+        with running_server(workers=0) as (server, host, port):
+            with ServiceClient(host, port) as client:
+                results = client.submit_many(cells, deadline=120.0)
+            health = server.health()
+        assert health["batches"] == len(cells) == 6
+        assert (health["trace_misses"], health["trace_hits"]) == (3, 3)
+        assert (health["compile_misses"], health["compile_hits"]) == (3, 3)
+        assert_matches_reference(baseline, results)
 
     def test_health_probe_over_the_wire(self):
         with running_server() as (_server, host, port):
@@ -584,7 +640,9 @@ class TestChaosServed:
             self, cells, baseline):
         """A transient worker kill inside the server's pool is absorbed
         by the supervised-pool retry; clients see only correct
-        results."""
+        results. ``workers=3`` keeps the executor gathering the
+        concurrent submits into one pool batch: a lone cell would run
+        in process, where the kill fault fails the cell instead."""
         with running_server(workers=3, max_retries=2, batch_window=0.5,
                             batch_max=16,
                             faults=FaultPlan(kill_on={0: 1})) as \
