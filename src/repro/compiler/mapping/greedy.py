@@ -24,6 +24,8 @@ import math
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.compiler.mapping.base import Mapper, MappingResult
 from repro.compiler.options import CompilerOptions
 from repro.exceptions import MappingError
@@ -47,11 +49,33 @@ def _program_adjacency(circuit: Circuit) -> Dict[int, Set[int]]:
     return adjacency
 
 
-def _attach_score(tables: ReliabilityTables, calibration: Calibration,
-                  candidate: int, placed_neighbors: List[int]) -> float:
-    """Sum of best-path log reliabilities to already-placed neighbors."""
-    return sum(_log(tables.best_path(candidate, h).reliability)
-               for h in placed_neighbors)
+def _best_path_logrel(tables: ReliabilityTables) -> np.ndarray:
+    """``log`` of every best-path reliability, ``[candidate, placed]``."""
+    rel = np.maximum(tables.best_path_table().reliability, _LOG_FLOOR)
+    return np.array(list(map(math.log, rel.ravel().tolist()))).reshape(
+        rel.shape)
+
+
+def _best_attach(logrel: np.ndarray, calibration: Calibration,
+                 used: Set[int], placed_neighbors: List[int]) -> int:
+    """The free location maximizing ``(attach score, readout
+    reliability, -h)``.
+
+    A candidate's attach score is its sum of best-path log reliabilities
+    to the already-placed neighbors, accumulated neighbor by neighbor
+    from 0.0 (the order Python's ``sum`` adds in), for all free
+    candidates at once.
+    """
+    taken = np.zeros(len(logrel), dtype=bool)
+    taken[list(used)] = True
+    free = np.flatnonzero(~taken)
+    if not len(free):
+        raise MappingError("machine exhausted during placement")
+    score = np.zeros(len(free))
+    for h in placed_neighbors:
+        score = score + logrel[free, h]
+    ties = free[score == score.max()].tolist()
+    return max(ties, key=lambda h: (calibration.readout_reliability(h), -h))
 
 
 def _fill_isolated(circuit: Circuit, calibration: Calibration,
@@ -82,6 +106,7 @@ class GreedyVertexMapper(Mapper):
         degrees = circuit.qubit_degrees()
         adjacency = _program_adjacency(circuit)
         interacting = sorted(adjacency, key=lambda q: (-degrees[q], q))
+        logrel: Optional[np.ndarray] = None  # built on the first attach
         placement: Dict[int, int] = {}
         used: Set[int] = set()
         # Unplaced qubits adjacent to a placed one, maintained
@@ -95,10 +120,10 @@ class GreedyVertexMapper(Mapper):
                 q = min(frontier, key=lambda q: (-degrees[q], q))
                 placed_neighbors = [placement[p] for p in adjacency[q]
                                     if p in placement]
-                free = [h for h in topology.iter_qubits() if h not in used]
-                choice = max(free, key=lambda h: (
-                    _attach_score(tables, calibration, h, placed_neighbors),
-                    calibration.readout_reliability(h), -h))
+                if logrel is None:
+                    logrel = _best_path_logrel(tables)
+                choice = _best_attach(logrel, calibration, used,
+                                      placed_neighbors)
             else:
                 # New component: seed its heaviest qubit on the best
                 # readout among the highest-degree free locations.
@@ -139,6 +164,7 @@ class GreedyEdgeMapper(Mapper):
         weights = circuit.interaction_graph()
         edges = sorted(weights, key=lambda e: (-weights[e], e))
         adjacency = _program_adjacency(circuit)
+        logrel: Optional[np.ndarray] = None  # built on the first attach
         placement: Dict[int, int] = {}
         used: Set[int] = set()
 
@@ -166,12 +192,10 @@ class GreedyEdgeMapper(Mapper):
             unmapped = qb if qa in placement else qa
             placed_neighbors = [placement[p] for p in adjacency[unmapped]
                                 if p in placement]
-            free = [h for h in topology.iter_qubits() if h not in used]
-            if not free:
-                raise MappingError("machine exhausted during placement")
-            choice = max(free, key=lambda h: (
-                _attach_score(tables, calibration, h, placed_neighbors),
-                calibration.readout_reliability(h), -h))
+            if logrel is None:
+                logrel = _best_path_logrel(tables)
+            choice = _best_attach(logrel, calibration, used,
+                                  placed_neighbors)
             placement[unmapped] = choice
             used.add(choice)
             pending.remove(chosen)

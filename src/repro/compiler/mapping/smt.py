@@ -157,20 +157,18 @@ def reliability_model(circuit: Circuit, calibration: Calibration,
     # Dense score tables, computed once per run and shared by every
     # term: the vector engine compiles them straight into its cost
     # matrices instead of probing Python closures H^2 times per pair.
+    # CNOT terms read the EC table's best junction per pair (max is
+    # exact; math.log, not np.log, so each entry is the scalar log).
     hw = list(calibration.topology.iter_qubits())
-    hw_set = set(hw)
-    n_hw = max(hw) + 1
     readout_logrel = np.array(
         [math.log(max(calibration.readout_reliability(h), _LOG_FLOOR))
-         if h in hw_set else math.log(_LOG_FLOOR)
-         for h in range(n_hw)])
-    cnot_logrel = np.full((n_hw, n_hw), math.log(_LOG_FLOOR))
-    for hc in hw:
-        for ht in hw:
-            if hc != ht:
-                cnot_logrel[hc, ht] = math.log(
-                    max(tables.best_one_bend(hc, ht).reliability,
-                        _LOG_FLOOR))
+         for h in hw])
+    best = np.maximum(tables.one_bend_table().reliability.max(axis=2),
+                      _LOG_FLOOR)
+    cnot_logrel = np.array(list(map(math.log, best.ravel().tolist()))
+                           ).reshape(best.shape)
+    np.fill_diagonal(cnot_logrel, math.log(_LOG_FLOOR))
+    logrel_rows = cnot_logrel.tolist()
 
     terms: List = []
     # Readout terms: one per measurement (Constraint 10). Readouts on
@@ -192,9 +190,7 @@ def reliability_model(circuit: Circuit, calibration: Calibration,
         def score(hc: int, ht: int, _count: int = count) -> float:
             if hc == ht:
                 return _count * math.log(_LOG_FLOOR)
-            rel = max(tables.best_one_bend(hc, ht).reliability,
-                      _LOG_FLOOR)
-            return (1.0 - omega) * _count * math.log(rel)
+            return (1.0 - omega) * _count * logrel_rows[hc][ht]
         matrix = (1.0 - omega) * count * cnot_logrel
         np.fill_diagonal(matrix, count * math.log(_LOG_FLOOR))
         terms.append(PairTerm(_var(qc), _var(qt), score, matrix=matrix))
@@ -349,14 +345,13 @@ class MakespanObjective(Objective):
                         table[hc, ht] = tables.uniform_duration(
                             hc, ht, tau_cnot=tau)
             return table
-        for hc in hw:
-            for ht in hw:
-                if hc != ht:
-                    table[hc, ht] = tables.delta(hc, ht)
-        for h in hw:
-            # Best-case routed time with one endpoint at h.
-            min_from = min(table[h, h2] for h2 in hw if h2 != h)
-            table[h, h] = table[h, unplaced] = table[unplaced, h] = min_from
+        delta = tables.one_bend_table().duration.min(axis=2)
+        np.fill_diagonal(delta, np.inf)
+        # Best-case routed time with one endpoint at h.
+        min_from = delta.min(axis=1)
+        np.fill_diagonal(delta, min_from)
+        table[:unplaced, :unplaced] = delta
+        table[:unplaced, unplaced] = table[unplaced, :unplaced] = min_from
         table[unplaced, unplaced] = min(
             e.cnot_duration_slots for e in calibration.edges.values())
         return table

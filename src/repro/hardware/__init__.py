@@ -22,7 +22,7 @@ from repro.hardware.devices import (
     ibmq20_topology,
     linear_topology,
 )
-from repro.hardware.reliability import ReliabilityTables, RoutedCnot, route_cost
+from repro.hardware.reliability import ReliabilityTables, RoutedCnot
 from repro.hardware.topology import (
     GridTopology,
     edge_key,
@@ -51,7 +51,6 @@ __all__ = [
     "default_ibmq16_calibration",
     "edge_key",
     "ibmq16_topology",
-    "route_cost",
     "square_topology",
     "uniform_calibration",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.exceptions import FaultInjected, ReproError
@@ -174,6 +174,25 @@ class FaultPlan:
         is journaled, so a restart can serve it from the checkpoint."""
         if self.armed and seq in self.kill_server_on:
             os._exit(KILL_EXIT_CODE)
+
+    def shifted(self, offset: int) -> "FaultPlan":
+        """This plan as seen by a batch whose first cell is cell
+        *offset* of a longer stream (the compile service numbers cells
+        across its lifetime, while each ``run_sweep`` batch counts from
+        0). Cell-level indexes move down by *offset*, dropping those
+        before the batch; request-level (connection) faults stay."""
+        def local(indexes):
+            return tuple(i - offset for i in indexes if i >= offset)
+
+        def local_map(mapping):
+            return {i - offset: v for i, v in mapping.items()
+                    if i >= offset}
+
+        return replace(self, raise_in=local(self.raise_in),
+                       kill_on=local_map(self.kill_on),
+                       delay=local_map(self.delay),
+                       interrupt_in=local(self.interrupt_in),
+                       corrupt_journal=local(self.corrupt_journal))
 
     @classmethod
     def random(cls, seed: int, n_cells: int, raise_rate: float = 0.0,

@@ -128,7 +128,9 @@ class ReproServer:
     Args:
         config: The server's knobs.
         faults: Optional :class:`~repro.runtime.faults.FaultPlan`.
-            Cell-level faults ride into every ``run_sweep`` batch;
+            Cell-level faults address cells in the server's execution
+            order, counted across batches from 0 (each ``run_sweep``
+            batch gets the plan shifted to its first cell);
             connection-level faults fire in the response path. Inert
             unless ``REPRO_FAULTS`` is set.
     """
@@ -154,6 +156,7 @@ class ReproServer:
         # Executor-thread-only counters, read (racily but monotonically)
         # by the health report.
         self._served = 0
+        self._cells_run = 0  # server-wide index of the next batch's cell 0
         self._resumed = 0
         self._quarantined = 0
         self._failed = 0
@@ -389,6 +392,10 @@ class ReproServer:
 
     def _execute_batch(self, batch: List[Request]) -> None:
         cells = [request.cell for request in batch]
+        faults = self._faults
+        if faults is not None:
+            faults = faults.shifted(self._cells_run)
+        self._cells_run += len(cells)
         try:
             sweep = run_sweep(
                 cells, workers=self.config.workers,
@@ -396,7 +403,7 @@ class ReproServer:
                 resume=self._cache.store.disk is not None,
                 max_retries=self.config.max_retries,
                 batch_timeout=self.config.batch_timeout,
-                faults=self._faults)
+                faults=faults)
             results = list(sweep.results)
             self._resumed += sweep.resumed
         except Exception as exc:

@@ -1,15 +1,18 @@
-"""Tests for routing cost tables (EC/Delta matrices, best paths)."""
+"""Tests for routing cost tables (EC/Delta matrices, best paths).
 
-import math
+``route_cost`` is the scalar oracle the tables are checked against
+(``tests/reliability_oracle.py``); its own unit tests live here.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reliability_oracle import route_cost
 from repro.exceptions import TopologyError
 from repro.hardware.calibration import uniform_calibration
 from repro.hardware.calibration_gen import default_ibmq16_calibration
-from repro.hardware.reliability import ReliabilityTables, route_cost
+from repro.hardware.reliability import ReliabilityTables
 from repro.hardware.topology import ibmq16_topology
 
 

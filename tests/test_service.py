@@ -689,6 +689,34 @@ class TestChaosServed:
         assert health["status"] == "ok"
 
 
+    def test_cell_fault_indexes_count_across_batches(self, cal, tmp_path):
+        """Cell-fault indexes number the server's cells, not each
+        batch's: ``corrupt:0`` corrupts only the first cell's journal
+        entry, so a later cell's resubmission is a journal hit."""
+        first, second = make_cells(cal, benchmarks=("BV4",), seeds=(0, 1))
+        store = tmp_path / "store"
+        with running_server(cache_dir=store,
+                            faults=FaultPlan(corrupt_journal=(0,))) as \
+                (server, host, port):
+            with ServiceClient(host, port) as client:
+                # Sequential submits: each cell is its own batch.
+                client.submit(first, deadline=120.0)
+                client.submit(second, deadline=120.0)
+                journal = DiskStore(store)
+                entries = {cell.key: journal.entry_path(
+                    "cell", cell_fingerprint(cell)).read_bytes()
+                    for cell in (first, second)}
+                again = client.submit(second, deadline=120.0)
+                stats = dict(client.stats)
+            health = server.health()
+        assert health["batches"] == 3
+        assert entries[first.key].startswith(b"deadbeef")
+        assert not entries[second.key].startswith(b"deadbeef")
+        assert stats["journal_hits"] == 1
+        assert health["resumed"] == 1
+        assert again.ok and again.resumed
+
+
 class TestServerRestartDrill:
     def test_killed_server_restarts_and_resumes_from_journal(
             self, cal, baseline, tmp_path):
